@@ -471,21 +471,18 @@ func ucqShape(branches int) (*rdf.Graph, []pattern.Query) {
 	return g, qs
 }
 
-// BenchmarkAblation_FederationJoin compares the two federated join
-// strategies on a selective query against a bulky source.
+// BenchmarkAblation_FederationJoin runs a selective query against a bulky
+// source with the left side on either side of the bind limit: the mediator
+// ships its bindings up to the limit and the source's extension past it.
 func BenchmarkAblation_FederationJoin(b *testing.B) {
-	for _, join := range []struct {
-		name string
-		j    federation.JoinStrategy
-	}{{"hash", federation.HashJoin}, {"bind", federation.BindJoin}} {
-		b.Run(join.name, func(b *testing.B) {
-			sys := bulkFederationSystem(5000)
+	for _, left := range []int{federation.DefaultBindLimit, federation.DefaultBindLimit + 1} {
+		b.Run(fmt.Sprintf("left=%d", left), func(b *testing.B) {
+			sys := bulkFederationSystem(5000, left)
 			net := simnet.New()
 			reg := peer.NewRegistry()
 			peer.Deploy(sys, net, reg)
 			net.Register("mediator", nil)
-			eng := federation.New(sys, reg, peer.NewClient(net, "mediator"),
-				federation.Options{Join: join.j})
+			eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{})
 			q := pattern.MustQuery([]string{"n"}, pattern.GraphPattern{
 				pattern.TP(pattern.C(rdf.IRI("http://e/alice")), pattern.C(rdf.IRI("http://e/likes")), pattern.V("x")),
 				pattern.TP(pattern.V("x"), pattern.C(rdf.IRI("http://e/name")), pattern.V("n")),
@@ -565,25 +562,24 @@ SELECT ?x ?y WHERE { DB1:Spiderman ex:starring ?z . ?z ex:artist ?x . ?x ex:age 
 	}
 }
 
-// bulkFederationSystem builds the selective-query-vs-bulky-source scenario
-// of the A4 ablation.
-func bulkFederationSystem(bulk int) *core.System {
+// bulkFederationSystem builds a two-peer system: a fact source where alice
+// likes the first left persons, and a bulky name source naming bulk persons.
+func bulkFederationSystem(bulk, left int) *core.System {
 	sys := core.NewSystem()
 	facts := sys.AddPeer("facts")
 	names := sys.AddPeer("names")
 	likes := rdf.IRI("http://e/likes")
 	name := rdf.IRI("http://e/name")
-	if err := facts.Add(rdf.Triple{S: rdf.IRI("http://e/alice"), P: likes, O: rdf.IRI("http://e/bob")}); err != nil {
-		panic(err)
-	}
 	for i := 0; i < bulk; i++ {
 		s := rdf.IRI(fmt.Sprintf("http://e/person%d", i))
+		if i < left {
+			if err := facts.Add(rdf.Triple{S: rdf.IRI("http://e/alice"), P: likes, O: s}); err != nil {
+				panic(err)
+			}
+		}
 		if err := names.Add(rdf.Triple{S: s, P: name, O: rdf.Literal(fmt.Sprintf("person %d", i))}); err != nil {
 			panic(err)
 		}
-	}
-	if err := names.Add(rdf.Triple{S: rdf.IRI("http://e/bob"), P: name, O: rdf.Literal("Bob")}); err != nil {
-		panic(err)
 	}
 	return sys
 }
@@ -675,7 +671,7 @@ func BenchmarkFederatedUCQ(b *testing.B) {
 			peer.Deploy(bindSys, net, reg)
 			net.Register("mediator", nil)
 			eng := federation.New(bindSys, reg, peer.NewClient(net, "mediator"),
-				federation.Options{Join: federation.BindJoin, BatchSize: batch})
+				federation.Options{BatchSize: batch, MaxInFlight: 64}) // one probe wave at either batch size
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				got, _, err := eng.Answer(bindQ)

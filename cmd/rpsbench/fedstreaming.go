@@ -15,7 +15,7 @@ import (
 )
 
 // fedStreamingResult is the streaming wire protocol benchmark's report, in
-// two parts. The wire-cost table runs a 3-pattern bind-join chain on an
+// two parts. The wire-cost table runs a 3-pattern probe chain on an
 // instant network and reads off what each (wire mode × probe batch size)
 // cell pays: network calls, bytes, peer-side pattern scans (the native
 // VALUES rendering makes a whole probe batch ONE scan) and rows produced.
@@ -61,8 +61,8 @@ type fedFirstRowResult struct {
 
 // fedChainSystem is the 2-peer, 3-pattern chain of the adaptive-batching
 // tests: alice likes n people (peer "facts"), each knows a friend with a
-// name (peer "bulk"), so the second and third hop are bind-join probes that
-// ship n bindings each.
+// name (peer "bulk"), so the second and third hop are probes that ship n
+// bindings each.
 func fedChainSystem(n int) (*core.System, pattern.Query, error) {
 	sys := core.NewSystem()
 	facts := sys.AddPeer("facts")
@@ -131,9 +131,11 @@ func runChainCell(sys *core.System, q pattern.Query, wantRows int, mode string, 
 	nodes := peer.Deploy(sys, net, reg)
 	net.Register("mediator", nil)
 	eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{
-		Join:      federation.BindJoin,
 		BatchSize: batch,
-		OneShot:   mode == "oneshot",
+		// a window as wide as the left side keeps every cell on the probe
+		// path (the step ships bindings while they fit in batch × window)
+		MaxInFlight: wantRows,
+		OneShot:     mode == "oneshot",
 	})
 	scans0 := sparql.PatternScans()
 	start := time.Now()

@@ -47,9 +47,8 @@ func main() {
 		quick       = flag.Bool("quick", false, "use smaller problem sizes")
 		shards      = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
 		fedParallel = flag.Bool("fed-parallel", true, "evaluate federated UCQ disjuncts in parallel (E7)")
-		fedJoin     = flag.String("fed-join", "hash", "federated join strategy: hash | bind (E7)")
-		fedBatch    = flag.Int("fed-batch", 0, "bind-join probe batch size for the federated mediator (0 = library default; bind join only)")
-		fedAdaptive = flag.Bool("fed-adaptive", false, "size bind-join probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
+		fedBatch    = flag.Int("fed-batch", 0, "probe batch size for the federated mediator: bindings one probe query ships (0 = library default)")
+		fedAdaptive = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
 		fedRetries  = flag.Int("fed-retries", 3, "max attempts per federated sub-query in E7/a4 (1 = no retries)")
 		fedHedge    = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against replicas in E7/a4")
 		jsonPath    = flag.String("json", "", "also write machine-readable results (tables + store microbenchmarks) to this file")
@@ -64,9 +63,6 @@ func main() {
 		Adaptive:  *fedAdaptive,
 		Retry:     federation.RetryPolicy{MaxAttempts: *fedRetries},
 		Hedge:     *fedHedge,
-	}
-	if *fedJoin == "bind" {
-		fed.Join = federation.BindJoin
 	}
 	if *rcache {
 		qc := qcache.New(int64(*rcacheMB) << 20)

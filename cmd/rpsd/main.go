@@ -13,7 +13,13 @@
 // executed by federating sub-queries over the per-peer endpoints, returning
 // the certain answers. This is the complete architecture of Section 5 as a
 // single deployable process (in production each peer endpoint would live on
-// its own host; the mediator only needs their URLs in the registry).
+// its own host; the mediator only needs their URLs in the registry). The
+// mediator evaluates each rewritten body along its join graph, shipping
+// bindings as batched VALUES probes while a join step's left side fits in
+// one probe wave (-fed-batch × the in-flight window) and fetching the
+// pattern's extension otherwise; rps_fed_join_steps_total at /metrics
+// splits the steps by branch. A rewriting cut off at its size bound may
+// miss answers: the response then carries X-RPS-Truncated: true.
 //
 // Operations endpoints and controls:
 //
@@ -128,14 +134,13 @@ func main() {
 		listen        = flag.String("listen", ":8080", "listen address")
 		shards        = flag.Int("shards", 0, "graph store shard count (0 = one per CPU); higher values reduce lock contention under concurrent load")
 		fedParallel   = flag.Bool("fed-parallel", true, "evaluate the /federated endpoint's UCQ disjuncts in parallel")
-		fedJoin       = flag.String("fed-join", "hash", "federated join strategy for /federated: hash | bind")
-		fedBatch      = flag.Int("fed-batch", 0, "bind-join probe batch size for the /federated mediator (0 = library default; bind join only)")
-		fedAdaptive   = flag.Bool("fed-adaptive", false, "size bind-join probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
+		fedBatch      = flag.Int("fed-batch", 0, "probe batch size for the /federated mediator: bindings one probe query ships (0 = library default); a join step ships bindings while they fit in batch × in-flight window, else fetches the extension")
+		fedAdaptive   = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
 		fedRetries    = flag.Int("fed-retries", 3, "max attempts per federated sub-query (retries with exponential backoff on transient failures; 1 = no retries)")
 		fedHedge      = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against a replica endpoint when the registry holds replicas")
 		fedPartial    = flag.Bool("fed-partial", false, "degrade gracefully on /federated: skip sources that stay unreachable after retries and answer the partial certain-answer subset (reported in the X-RPS-Partial header) instead of failing")
 		fedOneShot    = flag.Bool("fed-oneshot", false, "force the one-shot wire encoding for federated sub-queries instead of chunked streaming")
-		fedUnion      = flag.Bool("fed-union-probes", false, "render bind-join probes as the legacy UNION of filtered patterns instead of a native VALUES block")
+		fedUnion      = flag.Bool("fed-union-probes", false, "render probes as the legacy UNION of filtered patterns instead of a native VALUES block")
 		queryTimeout  = flag.Duration("query-timeout", 30*time.Second, "per-request evaluation deadline (0 = none); timed-out requests answer 503")
 		slowQuery     = flag.Duration("slow-query", time.Second, "log requests slower than this (0 = disabled)")
 		resultCache   = flag.Bool("result-cache", true, "cache query answers keyed on (query, store epoch vector) with singleflight collapsing of identical in-flight queries")
@@ -168,9 +173,6 @@ func main() {
 		Partial:     *fedPartial,
 		OneShot:     *fedOneShot,
 		UnionProbes: *fedUnion,
-	}
-	if *fedJoin == "bind" {
-		fed.Join = federation.BindJoin
 	}
 	if *resultCache {
 		qc := qcache.New(int64(*resultCacheMB) << 20)
@@ -449,6 +451,11 @@ func serveFederated(w http.ResponseWriter, r *http.Request, eng *federation.Engi
 			skipped[i] = s.Source
 		}
 		w.Header().Set("X-RPS-Partial", strings.Join(skipped, ","))
+	}
+	// likewise a rewriting cut off at its bound: the answer is sound but
+	// may be incomplete, and the client must be able to tell
+	if m != nil && m.RewriteTruncated {
+		w.Header().Set("X-RPS-Truncated", "true")
 	}
 	res := &sparql.Result{Form: sparql.FormSelect, Vars: q.Free}
 	if q.IsBoolean() {

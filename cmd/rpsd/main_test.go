@@ -11,6 +11,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/mapfile"
 	"repro/internal/peer"
+	"repro/internal/rewrite"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -72,6 +73,42 @@ func TestBuildMuxServesPeers(t *testing.T) {
 func TestBuildMuxMissingSystem(t *testing.T) {
 	if _, _, _, err := buildMux("/nonexistent/system.rps", federation.Options{}, opsConfig{}, durableConfig{}); err == nil {
 		t.Error("missing system accepted")
+	}
+}
+
+// A rewriting cut off at Rewrite.MaxQueries may have lost answers; the
+// /federated response must say so instead of passing for complete.
+func TestFederatedTruncatedHeader(t *testing.T) {
+	path, err := mapfile.Save(workload.Figure1System(), workload.FilmNamespaces(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux, _, _, err := buildMux(path, federation.Options{Rewrite: rewrite.Options{MaxQueries: 50}}, opsConfig{}, durableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for _, tc := range []struct {
+		query string
+		want  string
+	}{
+		// Example 1 rewrites into ~20k disjuncts under the equivalences
+		{`PREFIX DB1: <http://db1.example.org/> PREFIX ex: <http://example.org/>
+		  SELECT ?x ?y WHERE { DB1:Spiderman ex:starring ?z . ?z ex:artist ?x . ?x ex:age ?y }`, "true"},
+		{`PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:age "59" }`, ""},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/federated", "application/sparql-query", strings.NewReader(tc.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.query, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-RPS-Truncated"); got != tc.want {
+			t.Errorf("%s: X-RPS-Truncated = %q, want %q", tc.query, got, tc.want)
+		}
 	}
 }
 

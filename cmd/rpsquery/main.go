@@ -10,9 +10,11 @@
 // rewrite (full UCQ rewriting evaluated over the stored data), combined
 // (canonicalised equivalences + GMA rewriting), direct (no integration),
 // federation (deploy the system's peers on an in-process simulated network
-// and answer through the Section 5 mediator — parallel UCQ disjuncts and
-// batched bind-join probes by default; tune with -fed-parallel, -fed-batch
-// and -join). Federation mode is fault-tolerant: -fed-retries bounds the
+// and answer through the Section 5 mediator — parallel UCQ disjuncts, each
+// evaluated along its join graph, a join step shipping bindings as batched
+// VALUES probes while they fit in one probe wave and fetching the pattern's
+// extension otherwise; tune with -fed-parallel and -fed-batch). Federation
+// mode is fault-tolerant: -fed-retries bounds the
 // attempts per sub-query, -fed-replicas deploys each peer as a replica set
 // (failover targets), -fed-hedge races slow sub-queries against a replica,
 // and -fed-partial degrades to the partial certain-answer subset (reported
@@ -21,12 +23,15 @@
 // With -explain the query is not answered; instead the streaming execution
 // plan (internal/plan) of each conjunctive body the strategy would run is
 // printed — for rewrite/combined, one plan per UCQ disjunct; for
-// federation, the federated plan with RemoteScan leaves (source fan-out,
-// probe batch size, in-flight window) under the parallel Union.
+// federation, the federated plan under the parallel Union: per disjunct,
+// RemoteScan leaves in join-graph order (source fan-out, in-flight window)
+// folded by RemoteJoin steps that carry the bind-or-fetch rule (bind<=N
+// batch=B).
 //
 // With -analyze the query IS answered, and the plan is printed with
 // per-operator execution statistics — actual rows, Next calls, inclusive
-// wall time, hash-join build sizes — plus the answer cardinality. A
+// wall time, hash-join build sizes, and for a federated join step the
+// branch it took (strategy=bind|extension) — plus the answer cardinality. A
 // -query-timeout bounds the execution: plan iterators poll the deadline and
 // stop producing tuples when it passes (the partial tree is still printed).
 package main
@@ -68,16 +73,15 @@ func main() {
 		analyze    = flag.Bool("analyze", false, "execute the query and print the plan with per-operator statistics (EXPLAIN ANALYZE)")
 		timeout    = flag.Duration("query-timeout", 0, "bound query execution; expired queries stop producing tuples (0 = none)")
 		shards     = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
-		join       = flag.String("join", "hash", "federated join strategy: hash | bind (federation mode)")
 		fedPar     = flag.Bool("fed-parallel", true, "evaluate federated UCQ disjuncts in parallel (federation mode)")
-		fedBatch   = flag.Int("fed-batch", 0, "bind-join probe batch size (0 = library default; federation mode)")
-		fedAdapt   = flag.Bool("fed-adaptive", false, "size bind-join probe batches adaptively from per-peer RTT EWMAs (federation mode)")
+		fedBatch   = flag.Int("fed-batch", 0, "probe batch size: bindings one probe query ships (0 = library default; federation mode)")
+		fedAdapt   = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (federation mode)")
 		fedRetries = flag.Int("fed-retries", 3, "max attempts per federated sub-query (transient failures retry with exponential backoff; 1 = no retries)")
 		fedHedge   = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against a replica endpoint (federation mode)")
 		fedPartial = flag.Bool("fed-partial", false, "degrade gracefully: skip sources unreachable after retries and answer the partial subset, reporting the skipped sources (federation mode)")
 		fedReplica = flag.Int("fed-replicas", 1, "replica endpoints per peer on the simulated network (federation mode)")
 		fedOneShot = flag.Bool("fed-oneshot", false, "force the one-shot wire encoding for federated sub-queries instead of chunked streaming (federation mode)")
-		fedUnion   = flag.Bool("fed-union-probes", false, "render bind-join probes as the legacy UNION of filtered patterns instead of a native VALUES block (federation mode)")
+		fedUnion   = flag.Bool("fed-union-probes", false, "render probes as the legacy UNION of filtered patterns instead of a native VALUES block (federation mode)")
 		rcache     = flag.Bool("result-cache", false, "cache query answers keyed on (query, store epoch vector) with singleflight collapsing")
 		rcacheMB   = flag.Int("result-cache-mb", 64, "answer cache byte budget in MiB")
 	)
@@ -94,9 +98,6 @@ func main() {
 		UnionProbes: *fedUnion,
 	}
 	fedReplicas = *fedReplica
-	if *join == "bind" {
-		fed.Join = federation.BindJoin
-	}
 	if *rcache {
 		qc := qcache.New(int64(*rcacheMB) << 20)
 		plan.SetAnswerCache(qc.Layer("plan"))
@@ -218,8 +219,8 @@ func run(w io.Writer, systemPath, queryText, queryFile, mode string, stats, noRe
 		if err != nil {
 			return err
 		}
-		extra = fmt.Sprintf("federated UCQ: %d disjuncts, %d remote calls (%d batched), %d rows shipped, %d sources, %d cache hits, peak %d in flight",
-			fm.Disjuncts, fm.RemoteCalls, fm.Batches, fm.RowsFetched, fm.SourcesContacted, fm.CacheHits, fm.InFlightMax)
+		extra = fmt.Sprintf("federated UCQ: %d disjuncts, %d remote calls (%d batched), %d rows shipped, %d bind / %d extension join steps, %d sources, %d cache hits, peak %d in flight",
+			fm.Disjuncts, fm.RemoteCalls, fm.Batches, fm.RowsFetched, fm.BindSteps, fm.ExtensionSteps, fm.SourcesContacted, fm.CacheHits, fm.InFlightMax)
 		if fm.RewriteTruncated {
 			extra += " (rewriting truncated; answers may be incomplete)"
 		}
@@ -388,9 +389,12 @@ func runAnalyze(ctx context.Context, w io.Writer, systemPath, queryText, queryFi
 		if err := p.Err(); err != nil {
 			return err
 		}
+		fm := p.Metrics()
+		fmt.Fprintf(w, "-- shipped: %d rows in %d remote calls, %d bind / %d extension join steps\n",
+			fm.RowsFetched, fm.RemoteCalls, fm.BindSteps, fm.ExtensionSteps)
 		// under Options.Partial, sources skipped after exhausted retries
 		// annotate the analyzed plan with their completeness report
-		for _, line := range p.Metrics().PartialSummary() {
+		for _, line := range fm.PartialSummary() {
 			fmt.Fprintln(w, line)
 		}
 		fmt.Fprintf(w, "-- answers: %d\n", rows)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/federation"
 	"repro/internal/mapfile"
+	"repro/internal/rdf"
 	"repro/internal/workload"
 )
 
@@ -93,18 +94,85 @@ func TestExplain(t *testing.T) {
 }
 
 // -explain in federation mode prints the federated plan: RemoteScan leaves
-// with routing and batching parameters under the parallel Union.
+// in join order with routing parameters and each step's bind-or-fetch rule
+// under the parallel Union.
 func TestExplainFederation(t *testing.T) {
 	path := figure1OnDisk(t)
 	var out bytes.Buffer
-	fed := federation.Options{Join: federation.BindJoin, BatchSize: 8}
+	fed := federation.Options{BatchSize: 8}
 	if err := runExplain(&out, path, example1SPARQL, "", "federation", 0, fed); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"federated UCQ", "parallel mediator", "Union[parallel", "RemoteScan[", "batch=8", "window="} {
+	for _, want := range []string{"federated UCQ", "parallel mediator", "Union[parallel", "RemoteJoin[on ", "RemoteScan[", "bind<=32 batch=8", "window="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("federated explain missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// A 3-hop path written out of path order, over a two-peer chain whose
+// rename mapping multiplies it into several disjuncts: -explain prints each
+// disjunct's leaves in join-graph order with the step's rule, and -analyze
+// adds the branch each step took and ships exactly what Answer ships.
+func TestFederationFollowsJoinGraph(t *testing.T) {
+	sys := workload.LODSystem(workload.LODConfig{
+		Peers: 2, Topology: workload.Chain, Shape: workload.Rename,
+		FactsPerPeer: 60, EntitiesPerPeer: 20, Seed: 1,
+	})
+	path, err := mapfile.Save(sys, rdf.NewNamespaces(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, core1 := workload.LODEntity(0, 3), workload.LODPredicate(1, "core")
+	shuffled := fmt.Sprintf("SELECT ?x2 ?x3 WHERE { ?x2 %[2]s ?x3 . %[1]s %[2]s ?x1 . ?x1 %[2]s ?x2 }", start, core1)
+	var out bytes.Buffer
+	if err := runExplain(&out, path, shuffled, "", "federation", 0, federation.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	at := 0
+	for _, want := range []string{
+		"RemoteJoin[on x2]",
+		"RemoteJoin[on x1]",
+		fmt.Sprintf("RemoteScan[%s %s ?x1] sources=0 window=4\n", start, core1), // no peer holds both IRIs
+		fmt.Sprintf("RemoteScan[?x1 %s ?x2] sources=1 bind<=64 batch=16 window=4\n", core1),
+		fmt.Sprintf("RemoteScan[?x2 %s ?x3] sources=1 bind<=64 batch=16 window=4\n", core1),
+	} {
+		i := strings.Index(s[at:], want)
+		if i < 0 {
+			t.Fatalf("explain: %q missing or out of join-graph order:\n%s", want, s)
+		}
+		at += i + len(want)
+	}
+
+	_, _, q, err := loadQuery(path, shuffled, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := deployFederation(sys, federation.Options{})
+	answers, m, err := eng.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answers.Len() == 0 || m.BindSteps == 0 {
+		t.Fatalf("%d answers, %d bind steps: the path proves nothing", answers.Len(), m.BindSteps)
+	}
+	out.Reset()
+	if err := runAnalyze(context.Background(), &out, path, shuffled, "", "federation", 0, federation.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s = out.String()
+	for _, want := range []string{
+		// (remote calls may differ: a single-pattern disjunct of the plan
+		// opens its own stream where Answer shares the per-query cache)
+		fmt.Sprintf("-- shipped: %d rows in ", m.RowsFetched),
+		fmt.Sprintf(" remote calls, %d bind / %d extension join steps\n", m.BindSteps, m.ExtensionSteps),
+		"strategy=bind (actual rows=",
+		fmt.Sprintf("-- answers: %d\n", answers.Len()),
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("analyze output missing %q:\n%s", want, s)
 		}
 	}
 }

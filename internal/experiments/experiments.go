@@ -429,7 +429,7 @@ func E6Stickiness() (*Table, error) {
 // E7Federation measures the Section 5 prototype: federated query answering
 // over the simulated network across peer counts and topologies. The fed
 // options select the mediator variant (parallel vs serial disjuncts,
-// bind-join batch size, per-peer in-flight window); rpsbench exposes them
+// probe batch size, per-peer in-flight window); rpsbench exposes them
 // as -fed-parallel / -fed-batch.
 func E7Federation(peerCounts []int, topologies []workload.Topology, fed federation.Options) (*Table, error) {
 	t := &Table{

@@ -89,7 +89,7 @@ func TestE7(t *testing.T) {
 	for _, fed := range []federation.Options{
 		{},
 		{Serial: true},
-		{Join: federation.BindJoin, BatchSize: 8},
+		{BatchSize: 8},
 	} {
 		tab, err := experiments.E7Federation([]int{2, 3}, []workload.Topology{workload.Chain, workload.Star}, fed)
 		checkTable(t, tab, err)

@@ -50,26 +50,24 @@ func chaseAnswers(t *testing.T, sys *core.System, q pattern.Query) *pattern.Tupl
 func TestReplicaFailoverMidStream(t *testing.T) {
 	sys, q := renameFanSystem(t, 4, 10)
 	want := chaseAnswers(t, sys, q)
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		net := simnet.New()
-		eng := deployReplicatedOn(sys, net, 3, federation.Options{Join: join})
-		// primaries die after serving a couple of calls — mid-stream, so
-		// early sub-queries succeed and later ones must fail over
-		for i := 0; i < 4; i++ {
-			net.FailAfter(fmt.Sprintf("peer:peer%d", i), i%3)
+	net := simnet.New()
+	eng := deployReplicatedOn(sys, net, 3, federation.Options{})
+	// primaries die after serving a couple of calls — mid-stream, so
+	// early sub-queries succeed and later ones must fail over
+	for i := 0; i < 4; i++ {
+		net.FailAfter(fmt.Sprintf("peer:peer%d", i), i%3)
+	}
+	for run := 0; run < 5; run++ {
+		got, m, err := eng.Answer(q)
+		if err != nil {
+			t.Fatalf("run %d: query failed despite live replicas: %v", run, err)
 		}
-		for run := 0; run < 5; run++ {
-			got, m, err := eng.Answer(q)
-			if err != nil {
-				t.Fatalf("join %v run %d: query failed despite live replicas: %v", join, run, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("join %v run %d: answers diverge:\n got %v\nwant %v",
-					join, run, got.Sorted(), want.Sorted())
-			}
-			if m.Partial {
-				t.Fatalf("join %v run %d: complete answer tagged partial: %+v", join, run, m.SkippedSources)
-			}
+		if !got.Equal(want) {
+			t.Fatalf("run %d: answers diverge:\n got %v\nwant %v",
+				run, got.Sorted(), want.Sorted())
+		}
+		if m.Partial {
+			t.Fatalf("run %d: complete answer tagged partial: %+v", run, m.SkippedSources)
 		}
 	}
 }
@@ -97,19 +95,17 @@ func TestReplicaFailoverMatchesChase(t *testing.T) {
 			}
 			net.FailAfter(eps[rng.Intn(len(eps))], rng.Intn(4))
 		}
-		for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-			eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{
-				Join: join, Rewrite: rewrite.Options{MaxQueries: 500000},
-			})
-			got, _, err := eng.Answer(q)
-			if err != nil {
-				t.Logf("seed %d join %v: query failed: %v", seed, join, err)
-				return false
-			}
-			if !got.Equal(want) {
-				t.Logf("seed %d join %v:\n got %v\nwant %v", seed, join, got.Sorted(), want.Sorted())
-				return false
-			}
+		eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{
+			Rewrite: rewrite.Options{MaxQueries: 500000},
+		})
+		got, _, err := eng.Answer(q)
+		if err != nil {
+			t.Logf("seed %d query failed: %v", seed, err)
+			return false
+		}
+		if !got.Equal(want) {
+			t.Logf("seed %d:\n got %v\nwant %v", seed, got.Sorted(), want.Sorted())
+			return false
 		}
 		return true
 	}
@@ -130,47 +126,45 @@ func TestPartialAnswers(t *testing.T) {
 	sys, q := renameFanSystem(t, 4, 5)
 	want := chaseAnswers(t, sys, q)
 
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		net := simnet.New()
-		engStrict := deployOn(sys, net, federation.Options{
-			Join: join, Retry: federation.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
-		})
-		net.Fail("peer:peer2")
-		if _, _, err := engStrict.Answer(q); err == nil {
-			t.Fatalf("join %v: whole source down without Partial: want an error", join)
-		} else {
-			if !errors.Is(err, simnet.ErrUnreachable) {
-				t.Errorf("join %v: err = %v, want an ErrUnreachable chain", join, err)
-			}
-			if !strings.Contains(err.Error(), "2 attempts") {
-				t.Errorf("join %v: err = %v, want the attempt count recorded", join, err)
-			}
+	net := simnet.New()
+	engStrict := deployOn(sys, net, federation.Options{
+		Retry: federation.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+	})
+	net.Fail("peer:peer2")
+	if _, _, err := engStrict.Answer(q); err == nil {
+		t.Fatalf("whole source down without Partial: want an error")
+	} else {
+		if !errors.Is(err, simnet.ErrUnreachable) {
+			t.Errorf("err = %v, want an ErrUnreachable chain", err)
 		}
+		if !strings.Contains(err.Error(), "2 attempts") {
+			t.Errorf("err = %v, want the attempt count recorded", err)
+		}
+	}
 
-		engPartial := deployOn(sys, net, federation.Options{
-			Join: join, Partial: true,
-			Retry: federation.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
-		})
-		got, m, err := engPartial.Answer(q)
-		if err != nil {
-			t.Fatalf("join %v: partial query failed: %v", join, err)
+	engPartial := deployOn(sys, net, federation.Options{
+		Partial: true,
+		Retry:   federation.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+	})
+	got, m, err := engPartial.Answer(q)
+	if err != nil {
+		t.Fatalf("partial query failed: %v", err)
+	}
+	if !m.Partial || len(m.SkippedSources) != 1 || m.SkippedSources[0].Source != "peer2" {
+		t.Fatalf("completeness report = partial=%v skipped=%+v, want peer2 skipped",
+			m.Partial, m.SkippedSources)
+	}
+	if got.Len() != 15 {
+		t.Fatalf("partial answers = %d, want the 15 from the 3 live peers", got.Len())
+	}
+	for _, tu := range got.Sorted() {
+		if !want.Has(tu) {
+			t.Fatalf("partial answer %v is not a certain answer", tu)
 		}
-		if !m.Partial || len(m.SkippedSources) != 1 || m.SkippedSources[0].Source != "peer2" {
-			t.Fatalf("join %v: completeness report = partial=%v skipped=%+v, want peer2 skipped",
-				join, m.Partial, m.SkippedSources)
-		}
-		if got.Len() != 15 {
-			t.Fatalf("join %v: partial answers = %d, want the 15 from the 3 live peers", join, got.Len())
-		}
-		for _, tu := range got.Sorted() {
-			if !want.Has(tu) {
-				t.Fatalf("join %v: partial answer %v is not a certain answer", join, tu)
-			}
-		}
-		summary := m.PartialSummary()
-		if len(summary) != 1 || !strings.Contains(summary[0], "-- partial: peer peer2 unavailable") {
-			t.Fatalf("join %v: PartialSummary = %q", join, summary)
-		}
+	}
+	summary := m.PartialSummary()
+	if len(summary) != 1 || !strings.Contains(summary[0], "-- partial: peer peer2 unavailable") {
+		t.Fatalf("PartialSummary = %q", summary)
 	}
 }
 
@@ -314,7 +308,6 @@ func TestRotatingFailures(t *testing.T) {
 
 	net := simnet.New(simnet.WithJitterSeed(7))
 	eng := deployReplicatedOn(sys, net, 3, federation.Options{
-		Join:             federation.BindJoin,
 		Partial:          true,
 		Retry:            federation.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
 		BreakerThreshold: 3,
@@ -405,6 +398,8 @@ func TestFaultMetricFamiliesExposed(t *testing.T) {
 		"federation_breaker_fastfail_total",
 		"federation_partial_answers_total",
 		"federation_skipped_sources_total",
+		`rps_fed_join_steps_total{strategy="bind"}`,
+		`rps_fed_join_steps_total{strategy="extension"}`,
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("family %s missing from exposition", family)

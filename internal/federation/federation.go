@@ -17,17 +17,24 @@
 // requests one peer sees at a time. Options.Serial restores the serial
 // disjunct loop for measurement.
 //
-// Two join strategies are provided: HashJoin fetches each triple pattern's
-// full extension — patterns routed to the same source travel in one batched
-// message (peer.MsgSPARQLBatch) — and joins locally, hashing the smaller
-// input; BindJoin ships bindings source-ward in batches: one probe query
-// carries up to Options.BatchSize distinct bindings as a native VALUES
-// block joined against a single copy of the pattern, so the peer evaluates
-// ONE pattern scan per probe however many bindings it carries (the legacy
-// rendering — a UNION of filtered copies of the pattern, one scan per
-// binding — remains available via Options.UnionProbes), trading more
-// (smaller) messages for less data transfer on selective queries, with far
-// fewer round trips than per-binding probing.
+// Every disjunct runs through one evaluator. joinOrder follows the body's
+// join graph: start at the pattern with the fewest variables, then always
+// take a pattern sharing a variable with what is already bound, opening a
+// new component — a true cross product — only when nothing connected
+// remains. fetcher.joinStep then decides, from the bindings accumulated so
+// far, what crosses the network: when their distinct restrictions to the
+// next pattern fit in one probe wave (batch size × in-flight window,
+// DefaultBindLimit at the defaults) they ship source-ward as native VALUES
+// blocks joined against a single copy of the pattern — one pattern scan per
+// probe at the peer, however many bindings it carries (Options.UnionProbes
+// keeps the legacy UNION-of-filtered-copies rendering) — and only the
+// compatible fragment comes back; otherwise, or when some binding restricts
+// nothing (a blank node, a disconnected pattern), the pattern's whole
+// extension does. The sides hash-join at the mediator on the smaller input;
+// Metrics.BindSteps / ExtensionSteps count the branches. A body with no
+// subject or object constant fetches at least two extensions whatever the
+// order, so it fetches them all up front, those routed to one source in
+// one batched message (peer.MsgSPARQLBatch), and joins in the same order.
 //
 // # Streaming
 //
@@ -43,15 +50,15 @@
 // forces the one-shot wire for measurement.
 //
 // Engine.Plan exposes the federated side as first-class plan operators:
-// per-disjunct mediator plans with plan.RemoteScan leaves (annotated with
-// source fan-out, probe batch size, and in-flight window) under a parallel
-// Union — both executable and EXPLAINable (rpsquery -mode federation
-// -explain).
+// per-disjunct mediator plans whose plan.RemoteScan leaves stand in
+// joinOrder's order, folded by plan.RemoteJoin steps bound to the same
+// fetcher.joinStep, under a parallel Union — both executable and
+// EXPLAINable (rpsquery -mode federation -explain / -analyze).
 //
 // # Fault tolerance
 //
 // The mediator does not assume every peer answers every sub-query. Every
-// peer call — extension fetch, bind-join probe batch, batched protocol
+// peer call — extension fetch, probe batch, batched protocol
 // message — runs under a retry loop (Options.Retry): transient failures
 // (unreachable nodes, mid-stream death, transport errors, HTTP 5xx,
 // per-attempt deadlines — peer.Retryable) are retried with doubling,
@@ -101,27 +108,21 @@ import (
 	"repro/internal/sparql"
 )
 
-// JoinStrategy selects how distributed joins are executed.
-type JoinStrategy int
-
-const (
-	// HashJoin fetches each pattern's extension and joins at the mediator.
-	HashJoin JoinStrategy = iota
-	// BindJoin ships current bindings to instantiate the next pattern.
-	BindJoin
-)
-
-// DefaultBatchSize is the bind-join probe batch size when Options.BatchSize
-// is zero: how many distinct bindings one probe query ships.
+// DefaultBatchSize is the probe batch size when Options.BatchSize is zero:
+// how many distinct bindings one probe query ships.
 const DefaultBatchSize = 16
 
 // DefaultMaxInFlight is the per-peer in-flight window when
 // Options.MaxInFlight is zero.
 const DefaultMaxInFlight = 4
 
+// DefaultBindLimit is the largest left side a join step ships as bindings
+// at the default batch size and window: one probe wave, every probe in
+// flight at once. A larger one fetches the pattern's extension instead.
+const DefaultBindLimit = DefaultBatchSize * DefaultMaxInFlight
+
 // Options configures the engine.
 type Options struct {
-	Join JoinStrategy
 	// Rewrite bounds the rewriting module.
 	Rewrite rewrite.Options
 	// Serial disables every concurrent path — the disjunct fan-out and the
@@ -129,9 +130,9 @@ type Options struct {
 	// pre-concurrency mediator for measurement and debugging (its
 	// InFlightMax never exceeds 1).
 	Serial bool
-	// BatchSize caps how many distinct bindings one bind-join probe query
-	// carries (0 = DefaultBatchSize; 1 = per-binding probing). With
-	// Adaptive it is the ceiling the adaptive sizer grows toward.
+	// BatchSize caps how many distinct bindings one probe query carries
+	// (0 = DefaultBatchSize; 1 = per-binding probing). With Adaptive it is
+	// the ceiling the adaptive sizer grows toward.
 	BatchSize int
 	// MaxInFlight caps concurrently outstanding requests per peer
 	// (0 = DefaultMaxInFlight).
@@ -186,7 +187,7 @@ type Options struct {
 	// shipped in one response. For measurement (rpsbench compares the two)
 	// and as an escape hatch.
 	OneShot bool
-	// UnionProbes restores the legacy bind-join probe rendering — a UNION
+	// UnionProbes restores the legacy probe rendering — a UNION
 	// of filtered copies of the pattern, one copy per binding — instead of
 	// a native VALUES block joined against a single copy. The peer then
 	// evaluates one pattern scan per binding instead of one per probe. For
@@ -208,6 +209,9 @@ func (o Options) window() int {
 	return o.MaxInFlight
 }
 
+// bindLimit is one probe wave under these options (see DefaultBindLimit).
+func (o Options) bindLimit() int { return o.batchSize() * o.window() }
+
 // Metrics describes one federated query execution.
 type Metrics struct {
 	// Disjuncts is the size of the UCQ produced by the rewriting module.
@@ -223,6 +227,11 @@ type Metrics struct {
 	Batches int
 	// RowsFetched counts result rows shipped back from peers.
 	RowsFetched int
+	// BindSteps and ExtensionSteps count the join steps (fetcher.joinStep,
+	// per disjunct, cache hits included) that shipped the accumulated
+	// bindings and those that fetched the pattern's whole extension.
+	BindSteps      int
+	ExtensionSteps int
 	// SourcesContacted is the number of distinct peers queried.
 	SourcesContacted int
 	// CacheHits counts sub-queries answered from the shared fetch cache
@@ -288,8 +297,8 @@ type Client interface {
 
 // BatchClient is a Client that can additionally ship several query texts in
 // one message (peer.Client and peer.HTTPClient both can). The mediator uses
-// it to collapse the per-source sub-queries of a hash join into one round
-// trip; plain Clients degrade to one message per query.
+// it to collapse the per-source extension fetches of an unanchored body
+// into one round trip; plain Clients degrade to one message per query.
 type BatchClient interface {
 	Client
 	QueryBatch(addr string, queries []string) ([]*sparql.Result, error)
@@ -415,7 +424,7 @@ func (e *Engine) answerUCQ(ctx context.Context, res *rewrite.Result) (*pattern.T
 	errs := make([]error, n)
 	evalOne := func(i int) {
 		d := res.Disjuncts[i]
-		bindings, err := e.evalDistributed(ctx, f, d.Query.GP)
+		bindings, err := e.evalDisjunct(ctx, f, d.Query.GP)
 		if err != nil {
 			errs[i] = err
 			return
@@ -460,6 +469,8 @@ var (
 	obsCalls     = obs.Default.Counter("rps_fed_remote_calls_total", "Messages sent to peers")
 	obsBatches   = obs.Default.Counter("rps_fed_batches_total", "Batched messages among remote calls")
 	obsRows      = obs.Default.Counter("rps_fed_rows_fetched_total", "Result rows shipped back from peers")
+	obsBindSteps = obs.Default.Counter(`rps_fed_join_steps_total{strategy="bind"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
+	obsExtSteps  = obs.Default.Counter(`rps_fed_join_steps_total{strategy="extension"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
 	obsCacheHits = obs.Default.Counter("rps_fed_cache_hits_total", "Sub-queries answered from the fetch cache")
 	obsResizes   = obs.Default.Counter("rps_fed_adaptive_resizes_total", "Adaptive probe batch size changes")
 	obsInFlight  = obs.Default.Gauge("rps_fed_in_flight_peak", "Peak concurrently outstanding remote requests of any query")
@@ -484,6 +495,8 @@ func publishMetrics(m *Metrics) {
 	obsCalls.Add(int64(m.RemoteCalls))
 	obsBatches.Add(int64(m.Batches))
 	obsRows.Add(int64(m.RowsFetched))
+	obsBindSteps.Add(int64(m.BindSteps))
+	obsExtSteps.Add(int64(m.ExtensionSteps))
 	obsCacheHits.Add(int64(m.CacheHits))
 	obsResizes.Add(int64(m.AdaptiveResizes))
 	obsInFlight.SetMax(int64(m.InFlightMax))
@@ -494,92 +507,99 @@ func publishMetrics(m *Metrics) {
 	obsSkipped.Add(int64(len(m.SkippedSources)))
 }
 
-// evalDistributed evaluates one conjunctive body across the peers.
-func (e *Engine) evalDistributed(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
-	if len(gp) == 0 {
-		return []pattern.Binding{{}}, nil
+// evalDisjunct evaluates one conjunctive body across the peers: patterns in
+// joinOrder's order, each step through fetcher.joinStep — or, for a body
+// that is not anchored, over extensions fetched up front.
+func (e *Engine) evalDisjunct(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
+	ordered := joinOrder(gp)
+	var exts [][]pattern.Binding
+	var err error
+	if !anchored(ordered) {
+		if exts, err = f.fetchExtensions(ctx, ordered); err != nil {
+			return nil, err
+		}
 	}
-	switch e.opts.Join {
-	case BindJoin:
-		return e.bindJoin(ctx, f, gp)
-	default:
-		return e.hashJoin(ctx, f, gp)
-	}
-}
-
-// hashJoin fetches every pattern's extension — concurrently, with the
-// sub-queries bound for the same source travelling in one batched message —
-// then joins smallest-first with the algebra's streaming hash join, hashing
-// the smaller input at each step.
-func (e *Engine) hashJoin(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
-	exts, err := f.fetchExtensions(ctx, gp)
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(exts, func(i, j int) bool { return len(exts[i]) < len(exts[j]) })
-	acc := exts[0]
-	for _, ext := range exts[1:] {
-		if len(acc) == 0 {
+	acc := []pattern.Binding{{}} // the join identity
+	for i, tp := range ordered {
+		var ext []pattern.Binding
+		switch {
+		case exts != nil:
+			ext = exts[i]
+		case i == 0:
+			ext, err = f.fetchPattern(ctx, tp)
+		default:
+			ext, _, err = f.joinStep(ctx, tp, acc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if acc = joinBindings(acc, ext); len(acc) == 0 {
 			return nil, nil
 		}
-		acc = joinBindings(acc, ext)
 	}
 	return acc, nil
+}
+
+// joinOrder orders a conjunctive body greedily along its join graph (see
+// the package comment): fewest unbound variables first among the patterns
+// connected to what is already bound, body order on ties. A pattern with
+// nothing left unbound is a lookup and counts as connected.
+func joinOrder(gp pattern.GraphPattern) pattern.GraphPattern {
+	out := make(pattern.GraphPattern, 0, len(gp))
+	used := make([]bool, len(gp))
+	bound := make(map[string]bool)
+	for len(out) < len(gp) {
+		best, bestConnected, bestUnbound := -1, false, 0
+		for i, tp := range gp {
+			if used[i] {
+				continue
+			}
+			unbound, connected := 0, false
+			for _, e := range tp.Elems() {
+				switch {
+				case !e.IsVar():
+				case bound[e.Var()]:
+					connected = true
+				default:
+					unbound++ // per position: ?x p ?x is less selective than c p ?x
+				}
+			}
+			connected = connected || unbound == 0
+			if best < 0 || (connected && !bestConnected) || (connected == bestConnected && unbound < bestUnbound) {
+				best, bestConnected, bestUnbound = i, connected, unbound
+			}
+		}
+		used[best] = true
+		out = append(out, gp[best])
+		for _, v := range gp[best].Vars() {
+			bound[v] = true
+		}
+	}
+	return out
+}
+
+// anchored reports whether some pattern carries a subject or object
+// constant: something selective to start from and carry along.
+func anchored(gp pattern.GraphPattern) bool {
+	for _, tp := range gp {
+		if !tp.S.IsVar() || !tp.O.IsVar() {
+			return true
+		}
+	}
+	return false
 }
 
 // joinBindings is Ω₁ ⋈ Ω₂ through the algebra's hash join, hashing the
 // smaller set (HashJoinBindings drains its right argument as the build
 // side).
 func joinBindings(a, b []pattern.Binding) []pattern.Binding {
+	if len(a) == 1 && len(a[0]) == 0 {
+		return b // a is the join identity
+	}
 	if len(a) <= len(b) {
 		return plan.HashJoinBindings(b, a)
 	}
 	return plan.HashJoinBindings(a, b)
-}
-
-// bindJoin evaluates patterns most-selective-first, shipping the current
-// bindings source-ward to instantiate each subsequent pattern. Bindings
-// travel in batches: one probe query carries up to Options.BatchSize
-// distinct restrictions of the accumulated bindings to the pattern's
-// variables (rendered VALUES-style as a UNION of filtered copies of the
-// pattern), and the batches are issued concurrently within the per-peer
-// in-flight window. The probe's projected variables echo the bindings back,
-// so the mediator joins each returned row against the accumulated bindings
-// by compatibility — the same join the per-binding protocol performs, at a
-// fraction of the round trips.
-func (e *Engine) bindJoin(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
-	ordered := append(pattern.GraphPattern(nil), gp...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return countVars(ordered[i]) < countVars(ordered[j])
-	})
-	acc, err := f.fetchPattern(ctx, ordered[0])
-	if err != nil {
-		return nil, err
-	}
-	for _, tp := range ordered[1:] {
-		if len(acc) == 0 {
-			return nil, nil
-		}
-		ext, err := f.probe(ctx, tp, acc)
-		if err != nil {
-			return nil, err
-		}
-		acc = joinBindings(acc, ext)
-		if len(acc) == 0 {
-			return nil, nil
-		}
-	}
-	return acc, nil
-}
-
-func countVars(tp pattern.TriplePattern) int {
-	n := 0
-	for _, e := range tp.Elems() {
-		if e.IsVar() {
-			n++
-		}
-	}
-	return n
 }
 
 // patternIRIs returns the constant IRIs of a pattern (for source selection).
@@ -596,9 +616,11 @@ func patternIRIs(tp pattern.TriplePattern) []rdf.Term {
 // renderPatternQuery renders a triple pattern as a SPARQL query. With no
 // restrictions: a SELECT over the pattern's variables (ASK if fully
 // ground). With restrictions: a probe batch — SELECT DISTINCT over the
-// pattern's variables carrying the bind-join bindings, so a single query
-// ships a whole batch and the projection echoes the bindings back for the
-// mediator-side compatibility join.
+// pattern's variables carrying the shipped bindings, so a single query
+// ships a whole batch and the projection echoes the bindings back, so the
+// mediator joins each returned row against the accumulated bindings by
+// compatibility — the same join per-binding probing performs, at a
+// fraction of the round trips.
 //
 // When every restriction binds the same variable set (probe partitions
 // them so — see probe), the batch renders as ONE copy of the pattern
@@ -676,11 +698,11 @@ func restrictionDomain(r pattern.Binding) []string {
 // variables, deduplicated in first-seen order. Blank-node values are
 // dropped from each restriction (a blank shipped as a constant would act as
 // a fresh variable at the peer; the compatibility join handles them on the
-// returned labels instead). The second result is true when some binding
-// restricts nothing — the probe then needs the full extension anyway.
-func restrictionsOf(acc []pattern.Binding, vars []string) ([]pattern.Binding, bool) {
-	seen := make(map[string]bool, len(acc))
-	var out []pattern.Binding
+// returned labels instead). ok is false when shipping them cannot pay: some
+// binding restricts nothing — the full extension subsumes every probe — or
+// there are more than limit distinct restrictions.
+func restrictionsOf(acc []pattern.Binding, vars []string, limit int) (out []pattern.Binding, ok bool) {
+	seen := make(map[string]bool, min(len(acc), limit+1))
 	for _, mu := range acc {
 		r := make(pattern.Binding, len(vars))
 		for _, v := range vars {
@@ -689,13 +711,16 @@ func restrictionsOf(acc []pattern.Binding, vars []string) ([]pattern.Binding, bo
 			}
 		}
 		if len(r) == 0 {
-			return nil, true
+			return nil, false
 		}
 		k := pattern.BindingKey(r, vars)
 		if !seen[k] {
+			if len(out) == limit {
+				return nil, false
+			}
 			seen[k] = true
 			out = append(out, r)
 		}
 	}
-	return out, false
+	return out, true
 }

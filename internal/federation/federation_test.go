@@ -29,59 +29,54 @@ func deploy(sys *core.System, opts federation.Options) (*federation.Engine, *sim
 // the prototype's promise: "the user poses a query ... and retrieves
 // additional information ... in a transparent way".
 func TestFederatedListing1(t *testing.T) {
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		sys := workload.Figure1System()
-		eng, net := deploy(sys, federation.Options{Join: join})
-		got, m, err := eng.Answer(workload.Example1Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := pattern.NewTupleSet()
-		for _, tu := range workload.Listing1Expected() {
-			want.Add(tu)
-		}
-		if !got.Equal(want) {
-			t.Errorf("join %v: answers\n got %v\nwant %v", join, got.Sorted(), want.Sorted())
-		}
-		if m.RemoteCalls == 0 || m.SourcesContacted == 0 || m.Disjuncts == 0 {
-			t.Errorf("join %v: metrics = %+v", join, m)
-		}
-		if net.Stats().Calls != m.RemoteCalls {
-			t.Errorf("join %v: network calls %d != metric %d", join, net.Stats().Calls, m.RemoteCalls)
-		}
+	sys := workload.Figure1System()
+	eng, net := deploy(sys, federation.Options{})
+	got, m, err := eng.Answer(workload.Example1Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern.NewTupleSet()
+	for _, tu := range workload.Listing1Expected() {
+		want.Add(tu)
+	}
+	if !got.Equal(want) {
+		t.Errorf("answers\n got %v\nwant %v", got.Sorted(), want.Sorted())
+	}
+	if m.RemoteCalls == 0 || m.SourcesContacted == 0 || m.Disjuncts == 0 {
+		t.Errorf("metrics = %+v", m)
+	}
+	if net.Stats().Calls != m.RemoteCalls {
+		t.Errorf("network calls %d != metric %d", net.Stats().Calls, m.RemoteCalls)
 	}
 }
 
-// Federated answers equal chase answers on the scaled workload (both join
-// strategies).
+// Federated answers equal chase answers on the scaled workload.
 func TestFederationMatchesChase(t *testing.T) {
 	cfg := workload.FilmConfig{Films: 2, ActorsPerFilm: 2, SameAsFraction: 0.5, Seed: 11}
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		sys := workload.ScaledFilmSystem(cfg)
-		u, err := chase.Run(sys, chase.Options{})
+	sys := workload.ScaledFilmSystem(cfg)
+	u, err := chase.Run(sys, chase.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := deploy(sys, federation.Options{Rewrite: rewrite.Options{MaxQueries: 500000}})
+	for f := 0; f < 2; f++ {
+		q := workload.ScaledFilmQuery(f)
+		got, m, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, _ := deploy(sys, federation.Options{Join: join, Rewrite: rewrite.Options{MaxQueries: 500000}})
-		for f := 0; f < 2; f++ {
-			q := workload.ScaledFilmQuery(f)
-			got, m, err := eng.Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.RewriteTruncated {
-				t.Fatalf("join %v film %d: rewriting truncated", join, f)
-			}
-			want := u.CertainAnswers(q)
-			if !got.Equal(want) {
-				t.Errorf("join %v film %d:\n got %v\nwant %v", join, f, got.Sorted(), want.Sorted())
-			}
+		if m.RewriteTruncated {
+			t.Fatalf("film %d: rewriting truncated", f)
+		}
+		want := u.CertainAnswers(q)
+		if !got.Equal(want) {
+			t.Errorf("film %d:\n got %v\nwant %v", f, got.Sorted(), want.Sorted())
 		}
 	}
 }
 
-// BindJoin ships bindings instead of extensions: more calls, fewer rows on
-// selective queries against a bulky source.
+// A selective query against a bulky source ships its bindings, not the
+// source's extension: far fewer rows than the extension holds.
 func TestJoinStrategyTradeoff(t *testing.T) {
 	sys := core.NewSystem()
 	p1 := sys.AddPeer("facts")
@@ -107,25 +102,20 @@ func TestJoinStrategyTradeoff(t *testing.T) {
 		pattern.TP(pattern.V("x"), pattern.C(name), pattern.V("n")),
 	})
 
-	engHash, _ := deploy(sys, federation.Options{Join: federation.HashJoin})
-	gotHash, mHash, err := engHash.Answer(q)
+	eng, _ := deploy(sys, federation.Options{})
+	got, m, err := eng.Answer(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engBind, _ := deploy(sys, federation.Options{Join: federation.BindJoin})
-	gotBind, mBind, err := engBind.Answer(q)
-	if err != nil {
-		t.Fatal(err)
+	if got.Len() != 1 {
+		t.Fatalf("answers = %v", got.Sorted())
 	}
-	if !gotHash.Equal(gotBind) {
-		t.Fatalf("strategies disagree: %v vs %v", gotHash.Sorted(), gotBind.Sorted())
+	if m.BindSteps != 1 || m.ExtensionSteps != 0 {
+		t.Errorf("steps: bind=%d extension=%d, want 1/0", m.BindSteps, m.ExtensionSteps)
 	}
-	if gotHash.Len() != 1 {
-		t.Fatalf("answers = %v", gotHash.Sorted())
-	}
-	if mBind.RowsFetched >= mHash.RowsFetched {
-		t.Errorf("bind join should fetch fewer rows: bind %d vs hash %d",
-			mBind.RowsFetched, mHash.RowsFetched)
+	if extension := p2.Data().Len(); m.RowsFetched != 2 || m.RowsFetched >= extension {
+		t.Errorf("shipped %d rows, want 2 (one per pattern) — the bulk source's extension holds %d",
+			m.RowsFetched, extension)
 	}
 }
 

@@ -45,6 +45,8 @@ type fetcher struct {
 	calls     int
 	batches   int
 	rows      int
+	bindSteps int
+	extSteps  int
 	cacheHits int
 	inFlight  int
 	flightMax int
@@ -79,10 +81,10 @@ func newFetcher(e *Engine) *fetcher {
 		slots:      make(map[string]chan struct{}),
 		sources:    make(map[string]bool),
 		rtt:        make(map[string]time.Duration),
+		lastBatch:  make(map[string]int),
 		skipped:    make(map[string]string),
 		epochs:     e.epochVector(),
 	}
-	f.lastBatch = make(map[string]int)
 	return f
 }
 
@@ -110,6 +112,8 @@ func (f *fetcher) snapshot(res *rewrite.Result) *Metrics {
 		RemoteCalls:      f.calls,
 		Batches:          f.batches,
 		RowsFetched:      f.rows,
+		BindSteps:        f.bindSteps,
+		ExtensionSteps:   f.extSteps,
 		SourcesContacted: len(f.sources),
 		CacheHits:        f.cacheHits,
 		InFlightMax:      f.flightMax,
@@ -343,8 +347,8 @@ func bindingsBytes(rows []pattern.Binding) int64 {
 }
 
 // query sends one query text to one source, accounting the message.
-// bindings is the probe batch size the query carries (0: not a bind-join
-// probe); probes feed the peer's service-time EWMA, and multi-binding
+// bindings is the probe batch size the query carries (0: not a probe);
+// probes feed the peer's service-time EWMA, and multi-binding
 // probes count as batches. The call runs under the fetcher's retry policy
 // (callRetry): transient failures are retried with backoff across the
 // source's replica set, hedged when Options.Hedge. Each attempt takes an
@@ -489,17 +493,18 @@ func mergeBindings(lists [][]pattern.Binding, vars []string) []pattern.Binding {
 	return out
 }
 
+// impossible reports a pattern that violates the RDF typing discipline — a
+// literal subject or a non-IRI predicate — and can never match: no need to
+// ask anyone (the rewriting produces such instantiations when a join
+// variable ranges over literals).
+func impossible(tp pattern.TriplePattern) bool {
+	return (!tp.S.IsVar() && tp.S.Term().IsLiteral()) || (!tp.P.IsVar() && !tp.P.Term().IsIRI())
+}
+
 // fetchPattern retrieves the extension of one triple pattern from every
 // candidate source (concurrently) and merges the bindings.
 func (f *fetcher) fetchPattern(ctx context.Context, tp pattern.TriplePattern) ([]pattern.Binding, error) {
-	// a pattern with a literal subject or a non-IRI predicate violates the
-	// RDF typing discipline and can never match: no need to ask anyone
-	// (bind joins produce such instantiations when a join variable ranges
-	// over literals)
-	if !tp.S.IsVar() && tp.S.Term().IsLiteral() {
-		return nil, nil
-	}
-	if !tp.P.IsVar() && !tp.P.Term().IsIRI() {
+	if impossible(tp) {
 		return nil, nil
 	}
 	queryText, vars, err := renderPatternQuery(tp, nil, false)
@@ -605,27 +610,39 @@ func (f *fetcher) probeBatchSize(tp pattern.TriplePattern) int {
 	return size
 }
 
-// probe retrieves the fragment of tp's extension compatible with the
-// accumulated bindings: their distinct restrictions to tp's variables ship
-// in batches per probe query — of fixed size f.batch, or sized by the
-// per-peer round-trip EWMA under Options.Adaptive — the batch queries run
-// concurrently (each source's traffic bounded by its in-flight window), and
-// the per-batch rows merge in batch order. Restrictions are partitioned by
-// bound-variable domain before chunking, so every chunk is uniform and
-// renders as a native VALUES block (one pattern scan at the peer) rather
-// than falling back to the per-binding UNION rendering — a pure
-// performance refinement: renderPatternQuery stays correct on mixed
-// domains. When some binding restricts nothing (or the pattern is ground),
-// the full extension subsumes every probe and a plain fetch answers.
-func (f *fetcher) probe(ctx context.Context, tp pattern.TriplePattern, acc []pattern.Binding) ([]pattern.Binding, error) {
-	vars := tp.Vars()
-	if len(vars) == 0 {
-		return f.fetchPattern(ctx, tp)
+// joinStep is the mediator's one rule for what crosses the network at a
+// join step (see the package comment): the side of acc ⋈ tp that lives at
+// the peers arrives as the answers to acc's restrictions shipped as probes
+// (shipped = true) or as tp's whole extension. Both the answer path
+// (evalDisjunct) and the plan path (disjunctPlan) come through here.
+func (f *fetcher) joinStep(ctx context.Context, tp pattern.TriplePattern, acc []pattern.Binding) (ext []pattern.Binding, shipped bool, err error) {
+	restrictions, shipped := restrictionsOf(acc, tp.Vars(), f.eng.opts.bindLimit())
+	f.mu.Lock()
+	if shipped {
+		f.bindSteps++
+	} else {
+		f.extSteps++
 	}
-	restrictions, full := restrictionsOf(acc, vars)
-	if full {
-		return f.fetchPattern(ctx, tp)
+	f.mu.Unlock()
+	if shipped {
+		ext, err = f.probe(ctx, tp, restrictions)
+	} else {
+		ext, err = f.fetchPattern(ctx, tp)
 	}
+	return ext, shipped, err
+}
+
+// probe retrieves the fragment of tp's extension compatible with the given
+// restrictions of tp's variables: they ship in batches per probe query — of
+// fixed size f.batch, or sized by the per-peer round-trip EWMA under
+// Options.Adaptive — the batch queries run concurrently (each source's
+// traffic bounded by its in-flight window), and the per-batch rows merge in
+// batch order. Restrictions are partitioned by bound-variable domain before
+// chunking, so every chunk is uniform and renders as a native VALUES block
+// (one pattern scan at the peer) rather than falling back to the
+// per-binding UNION rendering — a pure performance refinement:
+// renderPatternQuery stays correct on mixed domains.
+func (f *fetcher) probe(ctx context.Context, tp pattern.TriplePattern, restrictions []pattern.Binding) ([]pattern.Binding, error) {
 	batch := f.probeBatchSize(tp)
 	var chunks [][]pattern.Binding
 	for _, part := range partitionByDomain(restrictions) {
@@ -644,7 +661,7 @@ func (f *fetcher) probe(ctx context.Context, tp pattern.TriplePattern, acc []pat
 			return nil, err
 		}
 	}
-	return mergeBindings(perChunk, vars), nil
+	return mergeBindings(perChunk, tp.Vars()), nil
 }
 
 // partitionByDomain groups restrictions by their bound-variable set
@@ -705,104 +722,91 @@ func (f *fetcher) probeSources(tp pattern.TriplePattern, restrictions []pattern.
 // is asked once — one batched message carrying all of its sub-queries when
 // the client supports batching, one message per sub-query otherwise.
 func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) ([][]pattern.Binding, error) {
+	// job is one fetch this call leads; want is where pattern i's rows
+	// come from: nowhere (impossible), the engine-wide cache (rows), or a
+	// flight — another execution's, or a job of this call (entry).
 	type job struct {
-		tp      pattern.TriplePattern
-		text    string
-		vars    []string
-		entry   *fetchEntry
-		sources []peer.Entry
-		perSrc  [][]pattern.Binding
-		err     error
+		tp     pattern.TriplePattern
+		text   string
+		vars   []string
+		entry  *fetchEntry
+		perSrc [][]pattern.Binding
+		err    error
 	}
-	out := make([][]pattern.Binding, len(gp))
-	texts := make([]string, len(gp))
-	varsOf := make([][]string, len(gp))
-	skip := make([]bool, len(gp))
+	type want struct {
+		text  string
+		vars  []string
+		hit   bool
+		rows  []pattern.Binding
+		entry *fetchEntry
+	}
+	// consult the engine-wide epoch-keyed cache first: extensions fetched
+	// by earlier query executions are reused until some peer's epoch moves
+	shared := f.eng.acache
+	if f.epochs == nil {
+		shared = nil
+	}
+	wants := make([]want, len(gp))
 	for i, tp := range gp {
-		if (!tp.S.IsVar() && tp.S.Term().IsLiteral()) || (!tp.P.IsVar() && !tp.P.Term().IsIRI()) {
-			skip[i] = true
+		if impossible(tp) {
 			continue
 		}
 		text, vars, err := renderPatternQuery(tp, nil, false)
 		if err != nil {
 			return nil, err
 		}
-		texts[i], varsOf[i] = text, vars
-	}
-
-	// consult the engine-wide epoch-keyed cache first: extensions fetched
-	// by earlier query executions are reused until some peer's epoch moves
-	sharedHit := make([]bool, len(gp))
-	if l := f.eng.acache; l != nil && f.epochs != nil {
-		for i := range gp {
-			if skip[i] {
-				continue
-			}
-			if v, ok := l.Get(texts[i], f.epochs); ok {
-				sharedHit[i] = true
-				out[i], _ = v.([]pattern.Binding)
+		wants[i] = want{text: text, vars: vars}
+		if shared != nil {
+			if v, ok := shared.Get(text, f.epochs); ok {
+				wants[i].hit = true
+				wants[i].rows, _ = v.([]pattern.Binding)
 			}
 		}
 	}
 
-	// classify each pattern under the cache lock: already cached (or in
-	// flight elsewhere), duplicate of another pattern in this body, or a
+	// classify the others under the cache lock: already cached or in flight
+	// in this execution (possibly as another pattern of this body), or a
 	// fresh fetch this call leads
-	waits := make(map[int]*fetchEntry)
-	jobOf := make(map[int]*job)
-	byText := make(map[string]*job)
 	var jobs []*job
 	f.mu.Lock()
-	for i, tp := range gp {
-		if skip[i] {
+	for i := range wants {
+		w := &wants[i]
+		if w.text == "" {
 			continue
 		}
-		if sharedHit[i] {
+		if ent, ok := f.cache[w.text]; ok || w.hit {
 			f.cacheHits++
+			if !w.hit {
+				w.entry = ent
+			}
 			continue
 		}
-		if ent, ok := f.cache[texts[i]]; ok {
-			f.cacheHits++
-			waits[i] = ent
-			continue
-		}
-		if j, ok := byText[texts[i]]; ok {
-			f.cacheHits++
-			jobOf[i] = j
-			continue
-		}
-		j := &job{tp: tp, text: texts[i], vars: varsOf[i], entry: &fetchEntry{done: make(chan struct{})}}
-		f.cache[texts[i]] = j.entry
-		byText[texts[i]] = j
-		jobOf[i] = j
-		jobs = append(jobs, j)
+		w.entry = &fetchEntry{done: make(chan struct{})}
+		f.cache[w.text] = w.entry
+		jobs = append(jobs, &job{tp: gp[i], text: w.text, vars: w.vars, entry: w.entry})
 	}
 	f.mu.Unlock()
 
 	// group the led fetches by candidate source
-	type slot struct {
-		j   *job
-		pos int
-	}
 	type srcCall struct {
 		src   peer.Entry
-		slots []slot
+		jobs  []*job
+		pos   []int // jobs[k].perSrc[pos[k]] receives this source's rows
 		texts []string
 	}
 	var calls []*srcCall
 	byAddr := make(map[string]*srcCall)
 	for _, j := range jobs {
-		j.sources = f.eng.reg.SelectSources(patternIRIs(j.tp))
-		j.perSrc = make([][]pattern.Binding, len(j.sources))
-		for pos, src := range j.sources {
+		sources := f.eng.reg.SelectSources(patternIRIs(j.tp))
+		j.perSrc = make([][]pattern.Binding, len(sources))
+		for pos, src := range sources {
 			c, ok := byAddr[src.Addr]
 			if !ok {
 				c = &srcCall{src: src}
 				byAddr[src.Addr] = c
 				calls = append(calls, c)
 			}
-			c.slots = append(c.slots, slot{j: j, pos: pos})
-			c.texts = append(c.texts, j.text)
+			c.jobs, c.pos, c.texts = append(c.jobs, j), append(c.pos, pos), append(c.texts, j.text)
 		}
 	}
 
@@ -817,8 +821,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 		} else {
 			rs = make([]*sparql.Result, len(c.texts))
 			for k, text := range c.texts {
-				rs[k], err = f.query(ctx, c.src, text, 0)
-				if err != nil {
+				if rs[k], err = f.query(ctx, c.src, text, 0); err != nil {
 					break
 				}
 			}
@@ -834,16 +837,14 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 			callErrs[ci] = err
 			return
 		}
-		for k, s := range c.slots {
-			s.j.perSrc[s.pos] = f.resultBindings(rs[k], s.j.vars)
+		for k, j := range c.jobs {
+			j.perSrc[c.pos[k]] = f.resultBindings(rs[k], j.vars)
 		}
 	})
 	for ci, err := range callErrs {
-		if err != nil {
-			for _, s := range calls[ci].slots {
-				if s.j.err == nil {
-					s.j.err = err
-				}
+		for _, j := range calls[ci].jobs {
+			if err != nil && j.err == nil {
+				j.err = err
 			}
 		}
 	}
@@ -856,10 +857,10 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 	// stale error.
 	anySkipped := f.anySkipped()
 	for _, j := range jobs {
-		if j.err == nil {
+		if j.entry.err = j.err; j.err == nil {
 			j.entry.rows = mergeBindings(j.perSrc, j.vars)
-			if l := f.eng.acache; l != nil && f.epochs != nil && !anySkipped {
-				l.Put(j.text, f.epochs, j.entry.rows, bindingsBytes(j.entry.rows))
+			if shared != nil && !anySkipped {
+				shared.Put(j.text, f.epochs, j.entry.rows, bindingsBytes(j.entry.rows))
 			}
 		} else {
 			f.mu.Lock()
@@ -868,28 +869,20 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 			}
 			f.mu.Unlock()
 		}
-		j.entry.err = j.err
 		close(j.entry.done)
 	}
 
 	// assemble results per pattern, first error in pattern order wins
-	for i := range gp {
-		var ent *fetchEntry
-		switch {
-		case skip[i]:
-			continue
-		case sharedHit[i]:
-			continue
-		case waits[i] != nil:
-			ent = waits[i]
-		default:
-			ent = jobOf[i].entry
+	out := make([][]pattern.Binding, len(gp))
+	for i, w := range wants {
+		out[i] = w.rows
+		if w.entry != nil {
+			<-w.entry.done
+			if w.entry.err != nil {
+				return nil, w.entry.err
+			}
+			out[i] = w.entry.rows
 		}
-		<-ent.done
-		if ent.err != nil {
-			return nil, ent.err
-		}
-		out[i] = ent.rows
 	}
 	return out, nil
 }

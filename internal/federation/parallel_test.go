@@ -77,41 +77,41 @@ func renameFanSystem(t testing.TB, k, factsPerPeer int) (*core.System, pattern.Q
 }
 
 // The parallel mediator must compute exactly the serial mediator's answers,
-// deterministically, under both join strategies.
+// deterministically.
 func TestFederationParallelMatchesSerial(t *testing.T) {
 	sys, q := renameFanSystem(t, 6, 5)
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		engS, _ := deploy(sys, federation.Options{Join: join, Serial: true})
-		want, mS, err := engS.Answer(q)
+	engS, _ := deploy(sys, federation.Options{Serial: true})
+	want, mS, err := engS.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mS.Disjuncts != 6 || want.Len() != 30 {
+		t.Fatalf("serial disjuncts=%d answers=%d", mS.Disjuncts, want.Len())
+	}
+	if mS.InFlightMax > 1 {
+		t.Errorf("serial mediator overlapped requests (InFlightMax=%d)", mS.InFlightMax)
+	}
+	engP, _ := deploy(sys, federation.Options{})
+	for run := 0; run < 3; run++ {
+		got, mP, err := engP.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mS.Disjuncts != 6 || want.Len() != 30 {
-			t.Fatalf("join %v: serial disjuncts=%d answers=%d", join, mS.Disjuncts, want.Len())
+		if !got.Equal(want) {
+			t.Fatalf("run %d: parallel answers diverge:\n got %v\nwant %v",
+				run, got.Sorted(), want.Sorted())
 		}
-		if mS.InFlightMax > 1 {
-			t.Errorf("join %v: serial mediator overlapped requests (InFlightMax=%d)", join, mS.InFlightMax)
-		}
-		engP, _ := deploy(sys, federation.Options{Join: join})
-		for run := 0; run < 3; run++ {
-			got, mP, err := engP.Answer(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("join %v run %d: parallel answers diverge:\n got %v\nwant %v",
-					join, run, got.Sorted(), want.Sorted())
-			}
-			if mP.Disjuncts != mS.Disjuncts || mP.RowsFetched != mS.RowsFetched {
-				t.Errorf("join %v run %d: metrics drift: parallel %+v serial %+v", join, run, mP, mS)
-			}
+		if mP.Disjuncts != mS.Disjuncts || mP.RowsFetched != mS.RowsFetched {
+			t.Errorf("run %d: metrics drift: parallel %+v serial %+v", run, mP, mS)
 		}
 	}
 }
 
 // randomFederationCase builds a small random RDF Peer System — random peer
 // partitions of the data, random rename mappings between peers, an optional
-// equivalence — and a random 1–2 pattern query, all over a shared constant
+// equivalence — and a random 1–3 pattern query (a scan, a 2-hop path, or a
+// 2- or 3-hop path anchored at a constant, so both the up-front extension
+// path and the step-by-step path are drawn), all over a shared constant
 // pool. Every predicate is seeded at every peer so mapping vocabulary
 // checks pass.
 func randomFederationCase(t *testing.T, rng *rand.Rand) (*core.System, pattern.Query) {
@@ -165,14 +165,27 @@ func randomFederationCase(t *testing.T, rng *rand.Rand) (*core.System, pattern.Q
 			t.Fatal(err)
 		}
 	}
+	pred := func() pattern.Elem { return pattern.C(preds[rng.Intn(len(preds))]) }
 	var q pattern.Query
-	if rng.Intn(2) == 0 {
+	switch rng.Intn(4) {
+	case 0:
 		q = pattern.MustQuery([]string{"x", "y"},
-			pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(preds[rng.Intn(len(preds))]), pattern.V("y"))})
-	} else {
+			pattern.GraphPattern{pattern.TP(pattern.V("x"), pred(), pattern.V("y"))})
+	case 1:
 		q = pattern.MustQuery([]string{"x", "z"}, pattern.GraphPattern{
-			pattern.TP(pattern.V("x"), pattern.C(preds[rng.Intn(len(preds))]), pattern.V("y")),
-			pattern.TP(pattern.V("y"), pattern.C(preds[rng.Intn(len(preds))]), pattern.V("z")),
+			pattern.TP(pattern.V("x"), pred(), pattern.V("y")),
+			pattern.TP(pattern.V("y"), pred(), pattern.V("z")),
+		})
+	case 2:
+		q = pattern.MustQuery([]string{"y", "z"}, pattern.GraphPattern{
+			pattern.TP(pattern.V("y"), pred(), pattern.V("z")),
+			pattern.TP(pattern.C(consts[rng.Intn(len(consts))]), pred(), pattern.V("y")),
+		})
+	default:
+		q = pattern.MustQuery([]string{"w"}, pattern.GraphPattern{
+			pattern.TP(pattern.V("z"), pred(), pattern.V("w")),
+			pattern.TP(pattern.C(consts[rng.Intn(len(consts))]), pred(), pattern.V("y")),
+			pattern.TP(pattern.V("y"), pred(), pattern.V("z")),
 		})
 	}
 	return sys, q
@@ -180,8 +193,9 @@ func randomFederationCase(t *testing.T, rng *rand.Rand) (*core.System, pattern.Q
 
 // TestFederationMatchesChaseRandom is the federation≡chase equivalence
 // property: on random TGDs and random peer partitions of the data, the
-// parallel federated answer set equals the single-store chase answer set —
-// for both join strategies and across bind-join batch sizes.
+// parallel federated answer set equals the single-store chase answer set,
+// across probe batch sizes (batch 1 also shrinks the bind limit to the
+// window, so small left sides reach the extension branch).
 func TestFederationMatchesChaseRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -191,26 +205,24 @@ func TestFederationMatchesChaseRandom(t *testing.T) {
 			t.Fatalf("seed %d: chase: %v", seed, err)
 		}
 		want := u.CertainAnswers(q)
-		for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-			for _, batch := range []int{1, 3} {
-				eng, _ := deploy(sys, federation.Options{
-					Join: join, BatchSize: batch,
-					Rewrite: rewrite.Options{MaxQueries: 500000},
-				})
-				got, m, err := eng.Answer(q)
-				if err != nil {
-					t.Logf("seed %d join %v batch %d: %v", seed, join, batch, err)
-					return false
-				}
-				if m.RewriteTruncated {
-					t.Logf("seed %d: rewriting truncated", seed)
-					return false
-				}
-				if !got.Equal(want) {
-					t.Logf("seed %d join %v batch %d:\n got %v\nwant %v",
-						seed, join, batch, got.Sorted(), want.Sorted())
-					return false
-				}
+		for _, batch := range []int{1, 3} {
+			eng, _ := deploy(sys, federation.Options{
+				BatchSize: batch,
+				Rewrite:   rewrite.Options{MaxQueries: 500000},
+			})
+			got, m, err := eng.Answer(q)
+			if err != nil {
+				t.Logf("seed %d batch %d: %v", seed, batch, err)
+				return false
+			}
+			if m.RewriteTruncated {
+				t.Logf("seed %d: rewriting truncated", seed)
+				return false
+			}
+			if !got.Equal(want) {
+				t.Logf("seed %d batch %d:\n got %v\nwant %v",
+					seed, batch, got.Sorted(), want.Sorted())
+				return false
 			}
 		}
 		return true
@@ -225,7 +237,7 @@ func TestFederationMatchesChaseRandom(t *testing.T) {
 }
 
 // batchTradeoffSystem: a selective fact peer and a bulky name peer — the
-// bind-join scenario where probe batching pays.
+// scenario where shipping bindings, and batching the probes, pays.
 func batchTradeoffSystem(t testing.TB, likesCount int) (*core.System, pattern.Query) {
 	t.Helper()
 	sys := core.NewSystem()
@@ -256,10 +268,11 @@ func batchTradeoffSystem(t testing.TB, likesCount int) (*core.System, pattern.Qu
 	return sys, q
 }
 
-// Golden batching semantics: bind joins at batch sizes 1, 16 and 1024
-// return identical tuples, while the request count shrinks as the batch
-// grows — 1 extension fetch plus ⌈40/B⌉ probes — and Batches counts exactly
-// the multi-binding probe messages.
+// Golden batching semantics: a 40-binding left side at batch sizes 1, 16
+// and 1024 returns identical tuples, while the request count shrinks as the
+// batch grows — 1 extension fetch plus ⌈40/B⌉ probes — and Batches counts
+// exactly the multi-binding probe messages. The window is 40 wide so that
+// the left side is one probe wave at every batch size, batch 1 included.
 func TestBindJoinBatchSizes(t *testing.T) {
 	sys, q := batchTradeoffSystem(t, 40)
 	type golden struct{ calls, batches int }
@@ -270,7 +283,7 @@ func TestBindJoinBatchSizes(t *testing.T) {
 	}
 	var first *pattern.TupleSet
 	for _, batch := range []int{1, 16, 1024} {
-		eng, net := deploy(sys, federation.Options{Join: federation.BindJoin, BatchSize: batch})
+		eng, net := deploy(sys, federation.Options{BatchSize: batch, MaxInFlight: 40})
 		got, m, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +312,7 @@ func TestBindJoinBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := u.CertainAnswers(q); !first.Equal(want) {
-		t.Errorf("batched bind join diverges from chase:\n got %v\nwant %v", first.Sorted(), want.Sorted())
+		t.Errorf("batched probes diverge from chase:\n got %v\nwant %v", first.Sorted(), want.Sorted())
 	}
 }
 
@@ -339,7 +352,7 @@ func TestFederationSlowPeer(t *testing.T) {
 // (TestFederationFailedPeer) — never as silent answer loss.
 func TestFederationPeerDiesMidStream(t *testing.T) {
 	sys, q := batchTradeoffSystem(t, 40)
-	eng, net := deploy(sys, federation.Options{Join: federation.BindJoin, BatchSize: 1})
+	eng, net := deploy(sys, federation.Options{BatchSize: 1, MaxInFlight: 40}) // 40 single-binding probes
 	net.FailAfter("peer:bulk", 5)
 	if _, _, err := eng.Answer(q); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
@@ -354,18 +367,19 @@ func TestFederationPeerDiesMidStream(t *testing.T) {
 	}
 }
 
-// The parallel executor must not leak goroutines — across repeated runs,
-// both join strategies, and the error path.
+// The parallel executor must not leak goroutines — across repeated runs of
+// a scan fan-out and of a probing chain, and the error path.
 func TestFederationNoGoroutineLeak(t *testing.T) {
 	sys, q := renameFanSystem(t, 4, 4)
 	eng, net := deploy(sys, federation.Options{})
-	engBind, _ := deploy(sys, federation.Options{Join: federation.BindJoin})
+	chainSys, chainQ := batchTradeoffSystem(t, 40)
+	engChain, _ := deploy(chainSys, federation.Options{})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		if _, _, err := eng.Answer(q); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := engBind.Answer(q); err != nil {
+		if _, _, err := engChain.Answer(chainQ); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,8 +398,11 @@ func TestFederationNoGoroutineLeak(t *testing.T) {
 }
 
 // The federated plan is a first-class plan: EXPLAIN shows RemoteScan leaves
-// with source fan-out, batch, and window annotations under the parallel
-// Union — and draining the plan computes the mediator's answers.
+// in join order with source fan-out, bind-or-fetch rule, and window
+// annotations under the parallel Union — hash joins over streamed
+// extensions for a body without constants, RemoteJoin steps for an anchored
+// one — and draining the plan computes the mediator's answers and ships the
+// mediator's rows.
 func TestFederatedPlanExplainAndExecute(t *testing.T) {
 	sys := core.NewSystem()
 	a := sys.AddPeer("a")
@@ -406,45 +423,84 @@ func TestFederatedPlanExplainAndExecute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := pattern.MustQuery([]string{"x", "z"}, pattern.GraphPattern{
-		pattern.TP(pattern.V("x"), pattern.C(p), pattern.V("y")),
-		pattern.TP(pattern.V("y"), pattern.C(qp), pattern.V("z")),
-	})
-	eng, _ := deploy(sys, federation.Options{Join: federation.BindJoin, BatchSize: 8, MaxInFlight: 2})
-	pq, err := eng.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := pq.Explain()
-	for _, want := range []string{
-		"federated UCQ of 1 disjuncts, parallel mediator",
-		"Union[parallel stream branches=1]",
-		"RemoteScan[?x <http://e/p> ?y] sources=1 stream window=2",
-		"RemoteScan[?y <http://e/q> ?z] sources=1 stream batch=8 window=2",
-		"HashJoin[on y]",
+	for _, tc := range []struct {
+		name    string
+		q       pattern.Query
+		explain []string
+		after   string // rendered once the plan ran
+	}{
+		{
+			name: "unanchored",
+			q: pattern.MustQuery([]string{"x", "z"}, pattern.GraphPattern{
+				pattern.TP(pattern.V("x"), pattern.C(p), pattern.V("y")),
+				pattern.TP(pattern.V("y"), pattern.C(qp), pattern.V("z")),
+			}),
+			explain: []string{
+				"RemoteScan[?x <http://e/p> ?y] sources=1 stream window=2\n",
+				"RemoteScan[?y <http://e/q> ?z] sources=1 stream window=2\n",
+				"HashJoin[on y]",
+			},
+		},
+		{
+			name: "anchored",
+			q: pattern.MustQuery([]string{"z"}, pattern.GraphPattern{
+				pattern.TP(pattern.V("y"), pattern.C(qp), pattern.V("z")),
+				pattern.TP(pattern.C(rdf.IRI("http://e/s1")), pattern.C(p), pattern.V("y")),
+			}),
+			explain: []string{
+				"RemoteJoin[on y]\n" +
+					"            RemoteScan[<http://e/s1> <http://e/p> ?y] sources=1 window=2\n" +
+					"            RemoteScan[?y <http://e/q> ?z] sources=1 bind<=16 batch=8 window=2\n",
+			},
+			after: "RemoteScan[?y <http://e/q> ?z] sources=1 bind<=16 batch=8 window=2 strategy=bind\n",
+		},
 	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("explain output missing %q:\n%s", want, s)
-		}
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _ := deploy(sys, federation.Options{BatchSize: 8, MaxInFlight: 2})
+			pq, err := eng.Plan(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := pq.Explain()
+			for _, want := range append(tc.explain,
+				"federated UCQ of 1 disjuncts, parallel mediator",
+				"Union[parallel stream branches=1]") {
+				if !strings.Contains(s, want) {
+					t.Errorf("explain output missing %q:\n%s", want, s)
+				}
+			}
 
-	rows := plan.Drain(pq.Root.Open(context.Background(), nil))
-	if err := pq.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got := pattern.NewTupleSet()
-	for _, mu := range rows {
-		got.Add(pattern.Tuple{mu["x"], mu["z"]})
-	}
-	want, _, err := eng.Answer(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("plan execution diverges from Answer:\n got %v\nwant %v", got.Sorted(), want.Sorted())
-	}
-	if m := pq.Metrics(); m.RemoteCalls == 0 || m.SourcesContacted != 2 {
-		t.Errorf("plan metrics = %+v", m)
+			rows := plan.Drain(pq.Root.Open(context.Background(), nil))
+			if err := pq.Err(); err != nil {
+				t.Fatal(err)
+			}
+			got := pattern.NewTupleSet()
+			for _, mu := range rows {
+				tu := make(pattern.Tuple, len(tc.q.Free))
+				for i, v := range tc.q.Free {
+					tu[i] = mu[v]
+				}
+				got.Add(tu)
+			}
+			want, m, err := eng.Answer(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || want.Len() == 0 {
+				t.Errorf("plan execution diverges from Answer:\n got %v\nwant %v", got.Sorted(), want.Sorted())
+			}
+			pm := pq.Metrics()
+			if pm.RemoteCalls == 0 || pm.SourcesContacted != 2 {
+				t.Errorf("plan metrics = %+v", pm)
+			}
+			if pm.RowsFetched != m.RowsFetched || pm.BindSteps != m.BindSteps {
+				t.Errorf("plan shipped %d rows in %d bind steps, Answer %d in %d",
+					pm.RowsFetched, pm.BindSteps, m.RowsFetched, m.BindSteps)
+			}
+			if s := pq.Explain(); !strings.Contains(s, tc.after) {
+				t.Errorf("explain after execution missing %q:\n%s", tc.after, s)
+			}
+		})
 	}
 }
 
@@ -508,7 +564,7 @@ func TestAdaptiveBatchSizing(t *testing.T) {
 		} else {
 			net = simnet.New()
 		}
-		eng := deployOn(sys, net, federation.Options{Join: federation.BindJoin, BatchSize: ceiling, Adaptive: adaptive})
+		eng := deployOn(sys, net, federation.Options{BatchSize: ceiling, Adaptive: adaptive})
 		got, m, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)

@@ -48,13 +48,11 @@ func (p *PlannedQuery) Explain() string {
 }
 
 // Plan builds the federated plan of q without executing it. Executing the
-// returned plan computes the same solution mappings the mediator's hash
-// join strategy computes: every RemoteScan fetches its pattern's merged
-// extension (through the shared per-plan cache, so shared patterns across
-// disjuncts are fetched once), and the disjunct bodies join at the
-// mediator. The RemoteScan annotations — source fan-out, probe batch size
-// (bind join), in-flight window — describe how the configured executor
-// crosses the network.
+// returned plan runs what Answer runs: each disjunct's leaves stand in
+// joinOrder's order and its join steps go through fetcher.joinStep and the
+// shared per-plan cache. The RemoteScan annotations — source fan-out, the
+// bind-or-fetch rule of a step (bind<=N batch=B), in-flight window —
+// describe how the executor crosses the network.
 func (e *Engine) Plan(q pattern.Query) (*PlannedQuery, error) {
 	res, err := rewrite.Rewrite(q, e.sys, e.opts.Rewrite)
 	if err != nil {
@@ -81,52 +79,56 @@ func (e *Engine) Explain(q pattern.Query) (string, error) {
 	return p.Explain(), nil
 }
 
-// disjunctPlan builds one disjunct's mediator plan: RemoteScan leaves in
-// the bind-join probe order (fewest variables first), folded with hash
-// joins on the accumulated shared variables, wrapped in the π·δ query
-// shape.
+// disjunctPlan builds one disjunct's mediator plan — evalDisjunct as
+// operators: RemoteScan leaves in joinOrder's order, folded left-deep by
+// RemoteJoin steps bound to fetcher.joinStep (by hash joins over streamed
+// extensions when the body is not anchored), in the π·δ query shape.
 func (e *Engine) disjunctPlan(f *fetcher, d rewrite.Disjunct) plan.Node {
 	gp := d.Query.GP
 	if len(gp) == 0 {
 		return plan.Unit{}
 	}
-	ordered := append(pattern.GraphPattern(nil), gp...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return countVars(ordered[i]) < countVars(ordered[j])
-	})
-	fetch := func(ctx context.Context, tp pattern.TriplePattern) []pattern.Binding {
-		rows, err := f.fetchPattern(ctx, tp)
-		if err != nil {
-			f.recordErr(err)
-			return nil
-		}
-		return rows
-	}
-	leaf := func(tp pattern.TriplePattern, probe bool) *plan.RemoteScan {
+	ordered := joinOrder(gp)
+	stepwise := len(ordered) > 1 && anchored(ordered)
+	leaf := func(tp pattern.TriplePattern) *plan.RemoteScan {
 		s := &plan.RemoteScan{
-			TP:       tp,
-			Sources:  len(e.reg.SelectSources(patternIRIs(tp))),
-			Window:   e.opts.window(),
-			Fetch:    fetch,
+			TP:      tp,
+			Sources: len(e.reg.SelectSources(patternIRIs(tp))),
+			Window:  e.opts.window(),
+			Fetch: func(ctx context.Context, tp pattern.TriplePattern) []pattern.Binding {
+				rows, err := f.fetchPattern(ctx, tp)
+				if err != nil {
+					f.recordErr(err)
+				}
+				return rows
+			},
 			Degraded: f.skippedNames,
 		}
-		if e.stream != nil {
+		if e.stream != nil && !stepwise {
 			// rows reach the joins as remote chunks arrive; closing the
-			// plan iterator closes the remote streams (early termination)
+			// plan iterator closes the remote streams (early termination).
+			// A step drains its left side before deciding, so a stepwise
+			// body fetches through the shared cache instead.
 			s.FetchStream = f.streamPattern
-		}
-		if probe && e.opts.Join == BindJoin {
-			s.Batch = e.opts.batchSize()
 		}
 		return s
 	}
-	var root plan.Node = leaf(ordered[0], false)
+	var root plan.Node = leaf(ordered[0])
 	for _, tp := range ordered[1:] {
-		root = &plan.HashJoin{
-			Left:   root,
-			Right:  leaf(tp, true),
-			Shared: sharedSorted(root.Vars(), tp.Vars()),
+		right, shared := leaf(tp), sharedSorted(root.Vars(), tp.Vars())
+		if !stepwise {
+			root = &plan.HashJoin{Left: root, Right: right, Shared: shared}
+			continue
 		}
+		right.BindLimit, right.Batch = e.opts.bindLimit(), e.opts.batchSize()
+		right.Probe = func(ctx context.Context, tp pattern.TriplePattern, left []pattern.Binding) ([]pattern.Binding, bool) {
+			rows, shipped, err := f.joinStep(ctx, tp, left)
+			if err != nil {
+				f.recordErr(err)
+			}
+			return rows, shipped
+		}
+		root = &plan.RemoteJoin{Left: root, Right: right, Shared: shared}
 	}
 	// the disjunct→answer step of rewrite.Disjunct.Project, as operators:
 	// splice in answer variables the rewriting bound to constants, drop

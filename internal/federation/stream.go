@@ -34,17 +34,16 @@ import (
 // land in f.recordErr (the iterator just ends early), transient post-retry
 // failures under Options.Partial skip the source.
 func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) plan.Iterator {
-	// same impossible-pattern short-circuits as fetchPattern
-	if !tp.S.IsVar() && tp.S.Term().IsLiteral() {
-		return emptyStreamIter()
+	replay := func(rows []pattern.Binding) plan.Iterator {
+		return (&plan.Bindings{Rows: rows}).Open(ctx, nil)
 	}
-	if !tp.P.IsVar() && !tp.P.Term().IsIRI() {
-		return emptyStreamIter()
+	if impossible(tp) {
+		return replay(nil)
 	}
 	queryText, vars, err := renderPatternQuery(tp, nil, false)
 	if err != nil {
 		f.recordErr(err)
-		return emptyStreamIter()
+		return replay(nil)
 	}
 	if l := f.eng.acache; l != nil && f.epochs != nil {
 		if v, ok := l.Get(queryText, f.epochs); ok {
@@ -52,7 +51,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 			f.cacheHits++
 			f.mu.Unlock()
 			rows, _ := v.([]pattern.Binding)
-			return &cachedIter{rows: rows}
+			return replay(rows)
 		}
 	}
 	candidates := f.eng.reg.SelectSources(patternIRIs(tp))
@@ -206,22 +205,3 @@ func (it *streamIter) Close() {
 		}
 	}()
 }
-
-// cachedIter replays an answer-cache hit.
-type cachedIter struct {
-	rows []pattern.Binding
-	i    int
-}
-
-func (it *cachedIter) Next() (pattern.Binding, bool) {
-	if it.i >= len(it.rows) {
-		return nil, false
-	}
-	mu := it.rows[it.i]
-	it.i++
-	return mu, true
-}
-
-func (it *cachedIter) Close() {}
-
-func emptyStreamIter() plan.Iterator { return &cachedIter{} }

@@ -110,29 +110,26 @@ func TestStreamFailoverMidFlight(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-		net := simnet.New()
-		eng := deployReplicatedOn(sys, net, 3, federation.Options{
-			Join:  join,
-			Retry: federation.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
-		})
-		// each stream costs ≥3 calls (open + 2 pulls for 300 rows): dying
-		// after 2 means the open and first pull succeed, the next pull fails
-		for i := 0; i < 3; i++ {
-			net.FailAfter(fmt.Sprintf("peer:peer%d", i), 2)
+	net := simnet.New()
+	eng := deployReplicatedOn(sys, net, 3, federation.Options{
+		Retry: federation.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
+	})
+	// each stream costs ≥3 calls (open + 2 pulls for 300 rows): dying
+	// after 2 means the open and first pull succeed, the next pull fails
+	for i := 0; i < 3; i++ {
+		net.FailAfter(fmt.Sprintf("peer:peer%d", i), 2)
+	}
+	for run := 0; run < 3; run++ {
+		got, m, err := eng.Answer(q)
+		if err != nil {
+			t.Fatalf("run %d: query failed despite live replicas: %v", run, err)
 		}
-		for run := 0; run < 3; run++ {
-			got, m, err := eng.Answer(q)
-			if err != nil {
-				t.Fatalf("join %v run %d: query failed despite live replicas: %v", join, run, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("join %v run %d: answers diverge: got %d rows, want %d",
-					join, run, got.Len(), want.Len())
-			}
-			if m.Partial {
-				t.Fatalf("join %v run %d: complete answer tagged partial: %+v", join, run, m.SkippedSources)
-			}
+		if !got.Equal(want) {
+			t.Fatalf("run %d: answers diverge: got %d rows, want %d",
+				run, got.Len(), want.Len())
+		}
+		if m.Partial {
+			t.Fatalf("run %d: complete answer tagged partial: %+v", run, m.SkippedSources)
 		}
 	}
 

@@ -27,22 +27,20 @@ func TestStreamedMatchesOneShotProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sys, q := randomFederationCase(t, rng)
 		want := chaseAnswers(t, sys, q)
-		for _, join := range []federation.JoinStrategy{federation.HashJoin, federation.BindJoin} {
-			for _, oneShot := range []bool{false, true} {
-				eng := deployOn(sys, simnet.New(), federation.Options{
-					Join: join, OneShot: oneShot,
-					Rewrite: rewrite.Options{MaxQueries: 500000},
-				})
-				got, _, err := eng.Answer(q)
-				if err != nil {
-					t.Logf("seed %d join %v oneShot=%v: %v", seed, join, oneShot, err)
-					return false
-				}
-				if !got.Equal(want) {
-					t.Logf("seed %d join %v oneShot=%v:\n got %v\nwant %v",
-						seed, join, oneShot, got.Sorted(), want.Sorted())
-					return false
-				}
+		for _, oneShot := range []bool{false, true} {
+			eng := deployOn(sys, simnet.New(), federation.Options{
+				OneShot: oneShot,
+				Rewrite: rewrite.Options{MaxQueries: 500000},
+			})
+			got, _, err := eng.Answer(q)
+			if err != nil {
+				t.Logf("seed %d oneShot=%v: %v", seed, oneShot, err)
+				return false
+			}
+			if !got.Equal(want) {
+				t.Logf("seed %d oneShot=%v:\n got %v\nwant %v",
+					seed, oneShot, got.Sorted(), want.Sorted())
+				return false
 			}
 		}
 		return true

@@ -25,7 +25,7 @@ const (
 
 var obsProbeTarget = obs.Default.Gauge("federation_probe_target_ms", "Adaptive probe service-time target chosen by the throughput tuner (ms)")
 
-// probeTuner learns the adaptive bind-join probe service-time target by
+// probeTuner learns the adaptive probe service-time target by
 // hill climbing on observed probe throughput, replacing the old fixed
 // 25ms constant. Every probe round trip reports (bindings, duration);
 // once a window of observations accumulates, the controller compares the

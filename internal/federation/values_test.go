@@ -32,7 +32,7 @@ func TestValuesProbeBatchIsOnePatternScan(t *testing.T) {
 	// chain of 3 patterns, 16 bindings wide: the first pattern is one
 	// unrestricted fetch, the two probe hops ship one VALUES batch each —
 	// 3 scans total, each a single batch
-	base := federation.Options{Join: federation.BindJoin, BatchSize: 16}
+	base := federation.Options{BatchSize: 16}
 	if got := scansDuring(base); got != 3 {
 		t.Errorf("VALUES probes: %d pattern scans, want 3 (one per hop)", got)
 	}

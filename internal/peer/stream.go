@@ -264,7 +264,8 @@ func oneShotStream(res *sparql.Result) *ResultStream {
 type serverStream struct {
 	id    string
 	rs    *sparql.RowStream
-	timer *time.Timer // idle reaper; reset on every pull
+	timer *time.Timer // idle reaper; stopped during a pull, re-armed after it
+	busy  bool        // a pull is in flight: the reaper must leave rs alone
 }
 
 // maxServerStreams bounds how many streams a node keeps open for clients
@@ -286,7 +287,7 @@ func (n *Node) openStream(rs *sparql.RowStream) *serverStream {
 	defer n.mu.Unlock()
 	n.streamSeq++
 	st := &serverStream{id: fmt.Sprintf("s%d", n.streamSeq), rs: rs}
-	st.timer = time.AfterFunc(StreamIdleTimeout, func() { n.dropStream(st.id) })
+	st.timer = time.AfterFunc(StreamIdleTimeout, func() { n.reapStream(st) })
 	if n.streams == nil {
 		n.streams = make(map[string]*serverStream)
 	}
@@ -304,21 +305,47 @@ func (n *Node) openStream(rs *sparql.RowStream) *serverStream {
 	return st
 }
 
-// lookupStream finds an open stream and, when found, postpones its idle
-// reaping: the puller has a full StreamIdleTimeout to come back.
+// lookupStream finds an open stream for a pull and, when found, suspends
+// its idle reaping until releaseStream: idleness is the time between
+// pulls, and a reaper that fires during one would close the scan under
+// the puller.
 func (n *Node) lookupStream(id string) (*serverStream, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st, ok := n.streams[id]
 	if ok {
-		st.timer.Reset(StreamIdleTimeout)
+		st.busy = true
+		st.timer.Stop()
 	}
 	return st, ok
+}
+
+// releaseStream ends a pull that left the stream open: the puller has a
+// full StreamIdleTimeout to come back.
+func (n *Node) releaseStream(st *serverStream) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st.busy = false
+	st.timer.Reset(StreamIdleTimeout)
+}
+
+// reapStream is the idle timer's drop. A timer that fired just as a pull
+// arrived finds the stream busy and leaves it; releaseStream re-arms it.
+func (n *Node) reapStream(st *serverStream) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !st.busy {
+		n.dropStreamLocked(st.id)
+	}
 }
 
 func (n *Node) dropStream(id string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.dropStreamLocked(id)
+}
+
+func (n *Node) dropStreamLocked(id string) {
 	if st, ok := n.streams[id]; ok {
 		st.timer.Stop()
 		st.rs.Close()
@@ -404,6 +431,8 @@ func (n *Node) handleStreamNext(id string) (simnet.Message, error) {
 		fr.Done = true
 		fr.Produced = st.rs.Produced()
 		n.dropStream(id)
+	} else {
+		n.releaseStream(st)
 	}
 	return encodeFrame(fr)
 }

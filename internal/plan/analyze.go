@@ -62,6 +62,11 @@ func instrument(n Node) *statsNode {
 			inner: &HashJoin{Left: instrument(x.Left), Right: right, Shared: x.Shared},
 			build: right,
 		}
+	case *RemoteJoin:
+		return &statsNode{inner: &RemoteJoin{
+			Left: instrument(x.Left), Right: x.Right, Shared: x.Shared,
+			rstats: &statsNode{inner: x.Right},
+		}}
 	case *Project:
 		return &statsNode{inner: &Project{Child: instrument(x.Child), Cols: x.Cols}}
 	case *Distinct:

@@ -40,8 +40,13 @@
 //     goroutines and merges deterministically in branch order.
 //   - RemoteScan     the federated leaf: one pattern answered by its
 //     candidate peers' SPARQL services instead of a local index, annotated
-//     with source fan-out, bind-join probe batch size, and per-peer
-//     in-flight window (the federation mediator injects the fetch closure).
+//     with source fan-out and per-peer in-flight window (the federation
+//     mediator injects the fetch closures).
+//   - RemoteJoin     the federated join step: drains its left input, then
+//     asks its RemoteScan right side for what the join needs — the answers
+//     to the left side's bindings shipped as probes when they are few
+//     (bind<=N batch=B), the pattern's whole extension otherwise — and
+//     hash-joins the two on the smaller side.
 //
 // When a disconnected pattern forces a HashJoin, the planner hashes the
 // genuinely smaller input: it tracks the accumulated output estimate of the
@@ -110,9 +115,10 @@
 //     parallel Union of per-disjunct plans; answers merge into a TupleSet,
 //     giving the deduplicated, deterministic certain-answer set.
 //   - Combined approach: same as rewriting, over the canonical database.
-//   - Federation (internal/federation): the mediator joins per-pattern
-//     remote extensions with HashJoinBindings, the algebra's hash join
-//     applied to already-fetched binding sets.
+//   - Federation (internal/federation): the mediator joins what its
+//     steps fetched (probe answers or pattern extensions) with
+//     HashJoinBindings, the algebra's hash join applied to already-fetched
+//     binding sets; its plans fold RemoteScan leaves with RemoteJoin.
 //   - SPARQL (internal/sparql): BGPs execute via Execute, FILTER via the
 //     Filter operator, and UNION alternatives fan out in parallel.
 //

@@ -454,11 +454,7 @@ func (it *hashJoinIter) Close() { it.left.Close() }
 
 func (j *HashJoin) format(b *strings.Builder, depth int) {
 	indent(b, depth)
-	on := strings.Join(j.Shared, ",")
-	if on == "" {
-		on = "×"
-	}
-	fmt.Fprintf(b, "HashJoin[on %s]", on)
+	fmt.Fprintf(b, "HashJoin[on %s]", joinLabel(j.Shared))
 	if j.ParallelBuild {
 		b.WriteString(" build=parallel")
 	}
@@ -883,6 +879,14 @@ func unionVars(a, b []string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// joinLabel renders a join's shared variables (× for a cross product).
+func joinLabel(shared []string) string {
+	if len(shared) == 0 {
+		return "×"
+	}
+	return strings.Join(shared, ",")
 }
 
 func indent(b *strings.Builder, depth int) {

@@ -12,7 +12,7 @@ import (
 // cache's singleflight Layer); a negative answer is the expensive case —
 // the scan proved exhaustively that nothing matches — and it is also the
 // verdict federated mediators ask for most (ground-pattern membership
-// probes during bind joins miss far more often than they hit).
+// probes of federated join steps miss far more often than they hit).
 //
 // Entries carry the source snapshot's per-shard epoch vector, exactly like
 // Layer entries: a lookup whose current vector differs from the stored one

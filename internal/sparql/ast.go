@@ -110,7 +110,7 @@ func (o *Optional) Vars() []string { return o.Inner.Vars() }
 
 // Values is an inline-bindings block (SPARQL 1.1 VALUES): a literal
 // relation over the declared variables, joined into the enclosing group.
-// The federation mediator ships bind-join probe batches as one pattern plus
+// The federation mediator ships probe batches as one pattern plus
 // one Values block, so the peer evaluates the pattern once and probes the
 // binding set instead of re-evaluating a filtered copy per binding.
 type Values struct {

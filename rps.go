@@ -30,13 +30,19 @@
 // evaluate in parallel (the planner's Union pushed below the mediator, so
 // federated disjuncts overlap network latency), identical sub-queries
 // coalesce in a shared singleflight fetch cache, per-peer in-flight windows
-// bound the load one peer sees, and bind joins ship bindings as native
-// SPARQL VALUES blocks — one probe query carries a whole batch of bindings
-// joined against a single copy of the pattern, so the peer pays ONE pattern
-// scan per batch instead of one per binding (the legacy UNION-of-filtered-
-// copies rendering survives behind -fed-union-probes for measurement), and
-// sub-queries bound for the same source travel in one batched message (the
-// peer protocol's sparql-batch operation, also served over HTTP). The wire
+// bound the load one peer sees. Each disjunct's patterns are evaluated
+// along the join graph (never through a cross product while a connected
+// pattern remains), and every join step decides from the cardinality it
+// has just observed what crosses the network: a left side of at most one
+// probe wave (64 distinct bindings by default) ships as native SPARQL
+// VALUES blocks — one probe query carries a whole batch of bindings joined
+// against a single copy of the pattern, so the peer pays ONE pattern scan
+// per batch instead of one per binding (the legacy UNION-of-filtered-copies
+// rendering survives behind -fed-union-probes for measurement) — and a
+// larger one fetches the pattern's extension; a body with no constant to
+// start from fetches its extensions up front, those bound for the same
+// source in one batched message (the peer protocol's sparql-batch
+// operation, also served over HTTP). The wire
 // is streamed: peers answer sub-queries as chunked row streams (pulled on
 // demand over the simulated network, NDJSON frames over HTTP), the
 // mediator's joins and the parallel disjunct union consume rows as chunks
@@ -45,9 +51,11 @@
 // Old peers that only speak the one-shot document interoperate through
 // version negotiation (-fed-oneshot forces that encoding). Federated plans
 // are first-class: EXPLAIN shows per-disjunct mediator plans with
-// RemoteScan leaves annotated with source fan-out, probe batch size, and
-// in-flight window (rpsquery -mode federation -explain; tune with
-// -fed-parallel and -fed-batch on rpsd, rpsquery and rpsbench).
+// RemoteScan leaves in join order, annotated with source fan-out, the
+// bind-or-fetch rule of each step and the in-flight window, and EXPLAIN
+// ANALYZE adds the branch each step took (rpsquery -mode federation
+// -explain / -analyze; tune with -fed-parallel and -fed-batch on rpsd,
+// rpsquery and rpsbench).
 //
 // Federation is fault-tolerant. Every sub-query runs under a retry policy
 // (FederationOptions.Retry): transient failures — unreachable peers,
@@ -437,14 +445,6 @@ var (
 	NewPeerClient = peer.NewClient
 	// NewFederation builds the mediator engine.
 	NewFederation = federation.New
-)
-
-// Join strategies for federated execution.
-const (
-	// HashJoinStrategy ships pattern extensions and joins at the mediator.
-	HashJoinStrategy = federation.HashJoin
-	// BindJoinStrategy ships bindings to instantiate remote sub-queries.
-	BindJoinStrategy = federation.BindJoin
 )
 
 // CertainAnswersSPARQL answers a conjunctive SPARQL query against a system

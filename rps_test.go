@@ -122,7 +122,7 @@ func TestFacadeTurtleAndFederation(t *testing.T) {
 	rps.DeployPeers(sys, net, reg)
 	net.Register("mediator", nil)
 	eng := rps.NewFederation(sys, reg, rps.NewPeerClient(net, "mediator"),
-		rps.FederationOptions{Join: rps.BindJoinStrategy})
+		rps.FederationOptions{})
 	got, metrics, err := eng.Answer(workload.Example1Query())
 	if err != nil {
 		t.Fatal(err)
