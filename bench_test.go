@@ -624,45 +624,33 @@ func fedFanSystem(k, factsPerPeer int) (*core.System, pattern.Query) {
 		pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(preds[0]), pattern.V("y"))})
 }
 
-// BenchmarkFederatedUCQ pins the win of pushing the parallel Union below
-// the mediator: a 4-disjunct UCQ whose disjuncts each route to a different
-// peer, over a simnet that really sleeps 5ms per request. The serial
-// mediator pays each peer's round trip sequentially; the parallel mediator
-// overlaps them (expect ≥2× at 4 disjuncts on ≥4 CPUs). The bind/batch=…
-// variants compare per-binding probing with batched probes at equal answer
-// sets — calls/op drops as the batch grows.
+// BenchmarkFederatedUCQ times the parallel mediator on a 4-disjunct UCQ
+// whose disjuncts each route to a different peer, over a simnet that
+// really sleeps 5ms per request: the disjuncts overlap their round trips
+// as far as GOMAXPROCS allows. The bind/batch=… variants compare
+// per-binding probing with batched probes at equal answer sets — calls/op
+// drops as the batch grows.
 func BenchmarkFederatedUCQ(b *testing.B) {
 	const disjuncts = 4
 	const latency = 5 * time.Millisecond
 	sys, q := fedFanSystem(disjuncts, 8)
-	for _, mode := range []struct {
-		name string
-		opts federation.Options
-	}{
-		{"serial", federation.Options{Serial: true}},
-		{"parallel", federation.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			if mode.name == "parallel" && runtime.GOMAXPROCS(0) <= 1 {
-				b.Skip("parallel mediator degrades to serial with GOMAXPROCS=1; the numbers would be misleading (re-run with -cpu 4)")
+	b.Run("parallel", func(b *testing.B) {
+		net := simnet.New(simnet.WithLatency(latency), simnet.WithRealDelay())
+		reg := peer.NewRegistry()
+		peer.Deploy(sys, net, reg)
+		net.Register("mediator", nil)
+		eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, _, err := eng.Answer(q)
+			if err != nil {
+				b.Fatal(err)
 			}
-			net := simnet.New(simnet.WithLatency(latency), simnet.WithRealDelay())
-			reg := peer.NewRegistry()
-			peer.Deploy(sys, net, reg)
-			net.Register("mediator", nil)
-			eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), mode.opts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, _, err := eng.Answer(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got.Len() != disjuncts*8 {
-					b.Fatalf("answers = %d, want %d", got.Len(), disjuncts*8)
-				}
+			if got.Len() != disjuncts*8 {
+				b.Fatalf("answers = %d, want %d", got.Len(), disjuncts*8)
 			}
-		})
-	}
+		}
+	})
 	bindSys, bindQ := bindBatchSystem(64)
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("bind/batch=%d", batch), func(b *testing.B) {

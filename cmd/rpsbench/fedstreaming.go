@@ -123,6 +123,19 @@ func runFedStreamingBenchmark(quick bool) (*fedStreamingResult, error) {
 	return res, nil
 }
 
+// oneShotClient hides peer.Client's QueryStream, so a mediator over it
+// takes the one-shot wire: every sub-query result crosses as one document.
+type oneShotClient struct{ federation.BatchClient }
+
+// mediatorClient is the mediator's simnet client, streaming or one-shot.
+func mediatorClient(net *simnet.Network, oneShot bool) federation.Client {
+	c := peer.NewClient(net, "mediator")
+	if oneShot {
+		return oneShotClient{c}
+	}
+	return c
+}
+
 // runChainCell answers the chain query once on a fresh instant network and
 // reads the wire and peer-side cost counters.
 func runChainCell(sys *core.System, q pattern.Query, wantRows int, mode string, batch int) (fedStreamingCell, error) {
@@ -130,12 +143,11 @@ func runChainCell(sys *core.System, q pattern.Query, wantRows int, mode string, 
 	reg := peer.NewRegistry()
 	nodes := peer.Deploy(sys, net, reg)
 	net.Register("mediator", nil)
-	eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{
+	eng := federation.New(sys, reg, mediatorClient(net, mode == "oneshot"), federation.Options{
 		BatchSize: batch,
 		// a window as wide as the left side keeps every cell on the probe
 		// path (the step ships bindings while they fit in batch × window)
 		MaxInFlight: wantRows,
-		OneShot:     mode == "oneshot",
 	})
 	scans0 := sparql.PatternScans()
 	start := time.Now()
@@ -188,7 +200,7 @@ func runFirstRowComparison() (*fedFirstRowResult, error) {
 		reg := peer.NewRegistry()
 		peer.Deploy(sys, net, reg)
 		net.Register("mediator", nil)
-		eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{OneShot: oneShot})
+		eng := federation.New(sys, reg, mediatorClient(net, oneShot), federation.Options{})
 		pq, err := eng.Plan(q)
 		if err != nil {
 			return 0, 0, err

@@ -16,6 +16,11 @@
 // performance trajectory of the repository is recorded as an artifact
 // (CI uploads BENCH_PR9.json from the bench-smoke job).
 //
+// The federated experiments run the mediator's one configuration, tuned
+// only by -fed-batch, -fed-retries and -fed-hedge; the streaming
+// benchmark's one-shot side is a mediator over a client without
+// QueryStream.
+//
 // Experiments: e1 (Listing 1), e2 (Listing 2), e3 (Theorem 1 chase
 // scaling), e4 (Proposition 2 rewriting strategies), e5 (Proposition 3
 // non-FO-rewritability), e6 (Definition 4 classification), e7 (Section 5
@@ -43,24 +48,20 @@ import (
 
 func main() {
 	var (
-		which       = flag.String("e", "all", "comma-separated experiment ids (e1..e8, a1..a4) or 'all'")
-		quick       = flag.Bool("quick", false, "use smaller problem sizes")
-		shards      = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
-		fedParallel = flag.Bool("fed-parallel", true, "evaluate federated UCQ disjuncts in parallel (E7)")
-		fedBatch    = flag.Int("fed-batch", 0, "probe batch size for the federated mediator: bindings one probe query ships (0 = library default)")
-		fedAdaptive = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
-		fedRetries  = flag.Int("fed-retries", 3, "max attempts per federated sub-query in E7/a4 (1 = no retries)")
-		fedHedge    = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against replicas in E7/a4")
-		jsonPath    = flag.String("json", "", "also write machine-readable results (tables + store microbenchmarks) to this file")
-		rcache      = flag.Bool("result-cache", false, "run the experiments with the answer cache installed (the -json cache sweep measures on/off either way)")
-		rcacheMB    = flag.Int("result-cache-mb", 64, "answer cache byte budget in MiB")
+		which      = flag.String("e", "all", "comma-separated experiment ids (e1..e8, a1..a4) or 'all'")
+		quick      = flag.Bool("quick", false, "use smaller problem sizes")
+		shards     = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
+		fedBatch   = flag.Int("fed-batch", 0, "probe batch size for the federated mediator: bindings one probe query ships (0 = library default)")
+		fedRetries = flag.Int("fed-retries", 3, "max attempts per federated sub-query in E7/a4 (1 = no retries)")
+		fedHedge   = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against replicas in E7/a4")
+		jsonPath   = flag.String("json", "", "also write machine-readable results (tables + store microbenchmarks) to this file")
+		rcache     = flag.Bool("result-cache", false, "run the experiments with the answer cache installed (the -json cache sweep measures on/off either way)")
+		rcacheMB   = flag.Int("result-cache-mb", 64, "answer cache byte budget in MiB")
 	)
 	flag.Parse()
 	rdf.SetDefaultShardCount(*shards)
 	fed := federation.Options{
-		Serial:    !*fedParallel,
 		BatchSize: *fedBatch,
-		Adaptive:  *fedAdaptive,
 		Retry:     federation.RetryPolicy{MaxAttempts: *fedRetries},
 		Hedge:     *fedHedge,
 	}

@@ -32,13 +32,15 @@
 //     federated sub-queries inherit it, so a runaway query cannot pin the
 //     process. Timed-out requests answer 503.
 //   - -slow-query logs any request slower than the threshold (0 disables).
+//   - Slow clients are refused: a connection must deliver its request
+//     headers within 10s and its whole request within a minute, and an
+//     idle keep-alive connection closes after two minutes. Responses have
+//     no write deadline, so a long NDJSON stream runs to completion.
 //   - SIGINT/SIGTERM drain in-flight requests before the process exits.
 //
 // Fault tolerance on /federated: -fed-retries bounds the attempts per
-// sub-query (transient failures retry with exponential backoff and fail
-// over across replica endpoints when the registry holds them), -fed-hedge
-// races slow sub-queries against a replica, and -fed-partial opts the
-// mediator into graceful degradation — when a source stays unreachable
+// sub-query (transient failures retry with exponential backoff), and
+// -fed-partial opts the mediator into graceful degradation — when a source stays unreachable
 // after retries its contribution is skipped, the response carries the
 // partial certain-answer subset, and the X-RPS-Partial header names the
 // skipped sources. The federation_retry_*, federation_hedge_* and
@@ -97,25 +99,37 @@ type opsConfig struct {
 	SlowQuery time.Duration
 }
 
+// Server timeouts. A client has readHeaderTimeout to send its request
+// headers and readTimeout to send the whole request, and an idle
+// keep-alive connection is closed after idleTimeout, so a slow or silent
+// client cannot pin a connection. There is deliberately no write timeout:
+// NDJSON streams may run as long as their scan, and -query-timeout bounds
+// every response's evaluation.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is rpsd's http.Server over h with the given read-side
+// timeouts (main passes the constants above).
+func newServer(h http.Handler, readHeader, read, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, ReadTimeout: read, IdleTimeout: idle}
+}
+
 // localClient answers the mediator's sub-queries against co-hosted peers
-// without a network round trip. It satisfies federation.Client (and
-// federation.ContextClient, so sub-queries inherit the request deadline); a
-// remote deployment substitutes peer.HTTPClient and endpoint URLs in the
-// registry.
+// without a network round trip. It has no QueryStream, so the mediator
+// takes the one-shot path; a remote deployment substitutes peer.HTTPClient
+// and endpoint URLs in the registry.
 type localClient struct {
 	peers map[string]*core.Peer
 }
 
-// Query implements federation.Client. Every request evaluates against a
-// point-in-time snapshot of the peer's store (sparql.Query.Eval freezes the
-// source up front), so queries never block on — and are never torn by —
-// concurrent bulk loads into the peer graphs.
-func (c localClient) Query(addr, queryText string) (*sparql.Result, error) {
-	return c.QueryContext(context.Background(), addr, queryText)
-}
-
-// QueryContext implements federation.ContextClient: evaluation stops
-// producing tuples once the mediator's request context expires.
+// QueryContext implements federation.Client. Every request evaluates
+// against a point-in-time snapshot of the peer's store, so queries never
+// block on — and are never torn by — concurrent bulk loads into the peer
+// graphs, and evaluation stops producing tuples once the mediator's
+// request context expires.
 func (c localClient) QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error) {
 	p, ok := c.peers[addr]
 	if !ok {
@@ -133,14 +147,9 @@ func main() {
 		systemPath    = flag.String("system", "", "path to the system.rps file (required)")
 		listen        = flag.String("listen", ":8080", "listen address")
 		shards        = flag.Int("shards", 0, "graph store shard count (0 = one per CPU); higher values reduce lock contention under concurrent load")
-		fedParallel   = flag.Bool("fed-parallel", true, "evaluate the /federated endpoint's UCQ disjuncts in parallel")
 		fedBatch      = flag.Int("fed-batch", 0, "probe batch size for the /federated mediator: bindings one probe query ships (0 = library default); a join step ships bindings while they fit in batch × in-flight window, else fetches the extension")
-		fedAdaptive   = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (-fed-batch is the cap)")
 		fedRetries    = flag.Int("fed-retries", 3, "max attempts per federated sub-query (retries with exponential backoff on transient failures; 1 = no retries)")
-		fedHedge      = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against a replica endpoint when the registry holds replicas")
 		fedPartial    = flag.Bool("fed-partial", false, "degrade gracefully on /federated: skip sources that stay unreachable after retries and answer the partial certain-answer subset (reported in the X-RPS-Partial header) instead of failing")
-		fedOneShot    = flag.Bool("fed-oneshot", false, "force the one-shot wire encoding for federated sub-queries instead of chunked streaming")
-		fedUnion      = flag.Bool("fed-union-probes", false, "render probes as the legacy UNION of filtered patterns instead of a native VALUES block")
 		queryTimeout  = flag.Duration("query-timeout", 30*time.Second, "per-request evaluation deadline (0 = none); timed-out requests answer 503")
 		slowQuery     = flag.Duration("slow-query", time.Second, "log requests slower than this (0 = disabled)")
 		resultCache   = flag.Bool("result-cache", true, "cache query answers keyed on (query, store epoch vector) with singleflight collapsing of identical in-flight queries")
@@ -165,14 +174,9 @@ func main() {
 		dur = durableConfig{Dir: *dataDir, Policy: policy, CheckpointEvery: *ckptEvery}
 	}
 	fed := federation.Options{
-		Serial:      !*fedParallel,
-		BatchSize:   *fedBatch,
-		Adaptive:    *fedAdaptive,
-		Retry:       federation.RetryPolicy{MaxAttempts: *fedRetries},
-		Hedge:       *fedHedge,
-		Partial:     *fedPartial,
-		OneShot:     *fedOneShot,
-		UnionProbes: *fedUnion,
+		BatchSize: *fedBatch,
+		Retry:     federation.RetryPolicy{MaxAttempts: *fedRetries},
+		Partial:   *fedPartial,
 	}
 	if *resultCache {
 		qc := qcache.New(int64(*resultCacheMB) << 20)
@@ -195,7 +199,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = serve(ctx, &http.Server{Handler: mux}, ln)
+	err = serve(ctx, newServer(mux, readHeaderTimeout, readTimeout, idleTimeout), ln)
 	// After the drain: write each peer's shutdown checkpoint and release
 	// the logs, so the next start recovers from checkpoints alone.
 	if cerr := stores.Close(); cerr != nil {

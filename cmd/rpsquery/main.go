@@ -13,7 +13,7 @@
 // and answer through the Section 5 mediator — parallel UCQ disjuncts, each
 // evaluated along its join graph, a join step shipping bindings as batched
 // VALUES probes while they fit in one probe wave and fetching the pattern's
-// extension otherwise; tune with -fed-parallel and -fed-batch). Federation
+// extension otherwise; tune with -fed-batch). Federation
 // mode is fault-tolerant: -fed-retries bounds the
 // attempts per sub-query, -fed-replicas deploys each peer as a replica set
 // (failover targets), -fed-hedge races slow sub-queries against a replica,
@@ -73,29 +73,21 @@ func main() {
 		analyze    = flag.Bool("analyze", false, "execute the query and print the plan with per-operator statistics (EXPLAIN ANALYZE)")
 		timeout    = flag.Duration("query-timeout", 0, "bound query execution; expired queries stop producing tuples (0 = none)")
 		shards     = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
-		fedPar     = flag.Bool("fed-parallel", true, "evaluate federated UCQ disjuncts in parallel (federation mode)")
 		fedBatch   = flag.Int("fed-batch", 0, "probe batch size: bindings one probe query ships (0 = library default; federation mode)")
-		fedAdapt   = flag.Bool("fed-adaptive", false, "size probe batches adaptively from per-peer RTT EWMAs (federation mode)")
 		fedRetries = flag.Int("fed-retries", 3, "max attempts per federated sub-query (transient failures retry with exponential backoff; 1 = no retries)")
 		fedHedge   = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against a replica endpoint (federation mode)")
 		fedPartial = flag.Bool("fed-partial", false, "degrade gracefully: skip sources unreachable after retries and answer the partial subset, reporting the skipped sources (federation mode)")
 		fedReplica = flag.Int("fed-replicas", 1, "replica endpoints per peer on the simulated network (federation mode)")
-		fedOneShot = flag.Bool("fed-oneshot", false, "force the one-shot wire encoding for federated sub-queries instead of chunked streaming (federation mode)")
-		fedUnion   = flag.Bool("fed-union-probes", false, "render probes as the legacy UNION of filtered patterns instead of a native VALUES block (federation mode)")
 		rcache     = flag.Bool("result-cache", false, "cache query answers keyed on (query, store epoch vector) with singleflight collapsing")
 		rcacheMB   = flag.Int("result-cache-mb", 64, "answer cache byte budget in MiB")
 	)
 	flag.Parse()
 	rdf.SetDefaultShardCount(*shards)
 	fed := federation.Options{
-		Serial:      !*fedPar,
-		BatchSize:   *fedBatch,
-		Adaptive:    *fedAdapt,
-		Retry:       federation.RetryPolicy{MaxAttempts: *fedRetries},
-		Hedge:       *fedHedge,
-		Partial:     *fedPartial,
-		OneShot:     *fedOneShot,
-		UnionProbes: *fedUnion,
+		BatchSize: *fedBatch,
+		Retry:     federation.RetryPolicy{MaxAttempts: *fedRetries},
+		Hedge:     *fedHedge,
+		Partial:   *fedPartial,
 	}
 	fedReplicas = *fedReplica
 	if *rcache {
@@ -378,11 +370,7 @@ func runAnalyze(ctx context.Context, w io.Writer, systemPath, queryText, queryFi
 		if err != nil {
 			return err
 		}
-		mediator := "parallel"
-		if fed.Serial {
-			mediator = "serial"
-		}
-		fmt.Fprintf(w, "-- federated UCQ of %d disjuncts, %s mediator\n", p.Rewriting.Size(), mediator)
+		fmt.Fprintf(w, "-- federated UCQ of %d disjuncts\n", p.Rewriting.Size())
 		root := plan.Instrument(p.Root)
 		rows := len(plan.Drain(root.Open(ctx, nil)))
 		fmt.Fprint(w, truncateUnionBranches(plan.Format(root), explainDisjunctCap))

@@ -104,7 +104,7 @@ func TestExplainFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"federated UCQ", "parallel mediator", "Union[parallel", "RemoteJoin[on ", "RemoteScan[", "bind<=32 batch=8", "window="} {
+	for _, want := range []string{"federated UCQ", "Union[parallel", "RemoteJoin[on ", "RemoteScan[", "bind<=32 batch=8", "window="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("federated explain missing %q:\n%s", want, s)
 		}

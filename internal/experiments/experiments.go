@@ -428,9 +428,9 @@ func E6Stickiness() (*Table, error) {
 
 // E7Federation measures the Section 5 prototype: federated query answering
 // over the simulated network across peer counts and topologies. The fed
-// options select the mediator variant (parallel vs serial disjuncts,
-// probe batch size, per-peer in-flight window); rpsbench exposes them
-// as -fed-parallel / -fed-batch.
+// options set the probe batch size, per-peer in-flight window and fault
+// tolerance; rpsbench exposes them as -fed-batch, -fed-retries and
+// -fed-hedge.
 func E7Federation(peerCounts []int, topologies []workload.Topology, fed federation.Options) (*Table, error) {
 	t := &Table{
 		ID:    "E7",

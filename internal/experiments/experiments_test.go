@@ -88,7 +88,6 @@ func TestE6(t *testing.T) {
 func TestE7(t *testing.T) {
 	for _, fed := range []federation.Options{
 		{},
-		{Serial: true},
 		{BatchSize: 8},
 	} {
 		tab, err := experiments.E7Federation([]int{2, 3}, []workload.Topology{workload.Chain, workload.Star}, fed)

@@ -14,8 +14,7 @@
 // remote fetch goes through a shared, concurrency-safe result cache that
 // deduplicates identical sub-queries across disjuncts (including in-flight
 // ones, singleflight-style), and per-peer in-flight windows bound how many
-// requests one peer sees at a time. Options.Serial restores the serial
-// disjunct loop for measurement.
+// requests one peer sees at a time.
 //
 // Every disjunct runs through one evaluator. joinOrder follows the body's
 // join graph: start at the pattern with the fewest variables, then always
@@ -26,8 +25,7 @@
 // next pattern fit in one probe wave (batch size × in-flight window,
 // DefaultBindLimit at the defaults) they ship source-ward as native VALUES
 // blocks joined against a single copy of the pattern — one pattern scan per
-// probe at the peer, however many bindings it carries (Options.UnionProbes
-// keeps the legacy UNION-of-filtered-copies rendering) — and only the
+// probe at the peer, however many bindings it carries — and only the
 // compatible fragment comes back; otherwise, or when some binding restricts
 // nothing (a blank node, a disconnected pattern), the pattern's whole
 // extension does. The sides hash-join at the mediator on the smaller input;
@@ -46,8 +44,9 @@
 // or losing a hedged race — closes the stream so the peer abandons the
 // rest of the scan. A stream that dies mid-flight is a transient error
 // like any other: the retry loop restarts the fetch from scratch (results
-// are deduplicated, so a restart never duplicates rows). Options.OneShot
-// forces the one-shot wire for measurement.
+// are deduplicated, so a restart never duplicates rows). A client without
+// QueryStream gets the one-shot wire: every sub-query result arrives as
+// one document, fully materialised at the peer.
 //
 // Engine.Plan exposes the federated side as first-class plan operators:
 // per-disjunct mediator plans whose plan.RemoteScan leaves stand in
@@ -125,28 +124,12 @@ const DefaultBindLimit = DefaultBatchSize * DefaultMaxInFlight
 type Options struct {
 	// Rewrite bounds the rewriting module.
 	Rewrite rewrite.Options
-	// Serial disables every concurrent path — the disjunct fan-out and the
-	// per-source/per-chunk fetch fan-outs alike — restoring the
-	// pre-concurrency mediator for measurement and debugging (its
-	// InFlightMax never exceeds 1).
-	Serial bool
 	// BatchSize caps how many distinct bindings one probe query carries
-	// (0 = DefaultBatchSize; 1 = per-binding probing). With Adaptive it is
-	// the ceiling the adaptive sizer grows toward.
+	// (0 = DefaultBatchSize; 1 = per-binding probing).
 	BatchSize int
 	// MaxInFlight caps concurrently outstanding requests per peer
 	// (0 = DefaultMaxInFlight).
 	MaxInFlight int
-	// Adaptive sizes each probe batch from an exponentially weighted
-	// moving average of observed per-peer round-trip times, normalised to
-	// the bindings each probe carried, instead of always shipping
-	// BatchSize bindings: the next batch is sized so one probe's expected
-	// service time stays near a fixed target, so peers whose per-binding
-	// share is dominated by the wire earn growing batches (amortising the
-	// round trip) while peers with expensive per-binding evaluation get
-	// smaller probes that overlap inside the in-flight window. BatchSize
-	// acts as the ceiling. Metrics.AdaptiveResizes counts the size changes.
-	Adaptive bool
 	// AnswerCache, when non-nil, upgrades the per-query fetch cache to a
 	// shared epoch-keyed answer cache: remote extensions and probe results
 	// survive across query executions and are re-validated at lookup
@@ -182,17 +165,6 @@ type Options struct {
 	// the remaining sources, tagged via Metrics.Partial and
 	// Metrics.SkippedSources, instead of failing closed.
 	Partial bool
-	// OneShot forces the one-shot wire encoding even when the client can
-	// stream: every sub-query result is fully materialised at the peer and
-	// shipped in one response. For measurement (rpsbench compares the two)
-	// and as an escape hatch.
-	OneShot bool
-	// UnionProbes restores the legacy probe rendering — a UNION
-	// of filtered copies of the pattern, one copy per binding — instead of
-	// a native VALUES block joined against a single copy. The peer then
-	// evaluates one pattern scan per binding instead of one per probe. For
-	// measurement.
-	UnionProbes bool
 }
 
 func (o Options) batchSize() int {
@@ -243,10 +215,6 @@ type Metrics struct {
 	// requests the mediator had — >1 only when the parallel executor
 	// actually overlapped network latency.
 	InFlightMax int
-	// AdaptiveResizes counts how many times the adaptive batch sizer chose
-	// a probe batch size different from the previous one (Options.Adaptive
-	// only).
-	AdaptiveResizes int
 	// Retries counts attempts after the first for failed peer calls.
 	Retries int
 	// Failovers counts attempts routed to a different endpoint of a
@@ -290,9 +258,11 @@ func (m *Metrics) PartialSummary() []string {
 
 // Client abstracts how the mediator reaches a peer's SPARQL service: the
 // simulated network client (peer.Client), the HTTP client (peer.HTTPClient)
-// or anything else that can answer a query at an address.
+// or anything else that can answer a query at an address. Every request
+// carries the mediator's per-query context, so sub-queries of a canceled
+// federated query are abandoned at the transport.
 type Client interface {
-	Query(addr, queryText string) (*sparql.Result, error)
+	QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error)
 }
 
 // BatchClient is a Client that can additionally ship several query texts in
@@ -301,23 +271,14 @@ type Client interface {
 // into one round trip; plain Clients degrade to one message per query.
 type BatchClient interface {
 	Client
-	QueryBatch(addr string, queries []string) ([]*sparql.Result, error)
-}
-
-// ContextClient is a Client whose requests can carry the mediator's
-// per-query context, so sub-queries of a canceled federated query are
-// abandoned at the transport instead of running to completion. Clients
-// without it still stop between requests (the fetcher checks the context
-// before each send).
-type ContextClient interface {
-	Client
-	QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error)
+	QueryBatch(ctx context.Context, addr string, queries []string) ([]*sparql.Result, error)
 }
 
 // StreamClient is a Client that can open a sub-query as a chunked result
 // stream (peer.Client and peer.HTTPClient both can). The mediator prefers
 // it when present: rows reach the joins as chunks arrive, and closing the
-// stream early stops the peer-side scan. Options.OneShot opts back out.
+// stream early stops the peer-side scan. A client without it gets the
+// one-shot wire.
 type StreamClient interface {
 	Client
 	QueryStream(ctx context.Context, addr, queryText string) (*peer.ResultStream, error)
@@ -328,32 +289,23 @@ type Engine struct {
 	sys    *core.System
 	reg    *peer.Registry
 	client Client
-	batch  BatchClient   // client, when it supports batched messages
-	cc     ContextClient // client, when it supports per-request contexts
-	stream StreamClient  // client, when it can stream results (nil under OneShot)
+	batch  BatchClient  // client, when it supports batched messages
+	stream StreamClient // client, when it can stream results
 	opts   Options
 	acache *qcache.Layer // shared answer cache for remote fetches, nil when off
 	// health is the engine-lifetime endpoint health table: breaker state,
 	// consecutive-failure counts, and whole-call latency EWMAs survive
 	// across query executions, so one query's failures protect the next.
 	health *healthRegistry
-	// tuner learns the adaptive probe service-time target across the
-	// engine's lifetime (Options.Adaptive).
-	tuner *probeTuner
 }
 
 // New creates an engine over a system (the mediator's knowledge of schemas
 // and mappings), a registry of peer services, and a query client.
 func New(sys *core.System, reg *peer.Registry, client Client, opts Options) *Engine {
 	bc, _ := client.(BatchClient)
-	cc, _ := client.(ContextClient)
-	var sc StreamClient
-	if !opts.OneShot {
-		sc, _ = client.(StreamClient)
-	}
-	e := &Engine{sys: sys, reg: reg, client: client, batch: bc, cc: cc, stream: sc, opts: opts}
+	sc, _ := client.(StreamClient)
+	e := &Engine{sys: sys, reg: reg, client: client, batch: bc, stream: sc, opts: opts}
 	e.health = newHealthRegistry(opts.BreakerThreshold, opts.BreakerCooldown)
-	e.tuner = newProbeTuner()
 	if opts.AnswerCache != nil && sys != nil {
 		e.acache = opts.AnswerCache.Layer("federation")
 	}
@@ -407,12 +359,12 @@ func (e *Engine) AnswerWithTGDs(q pattern.Query, sigma []rewrite.TripleTGD) (*pa
 	return e.answerUCQ(context.Background(), res)
 }
 
-// answerUCQ evaluates the rewriting's disjuncts — concurrently through
-// plan.Fanout unless Options.Serial — and merges their certain-answer
-// tuples in disjunct order. All disjuncts share one fetcher, so identical
-// sub-queries hit the cache no matter which disjunct issued them first; on
-// failure the error of the lowest-indexed failing disjunct is returned, so
-// parallel runs report errors deterministically. The rule applies to
+// answerUCQ evaluates the rewriting's disjuncts concurrently through
+// plan.Fanout and merges their certain-answer tuples in disjunct order.
+// All disjuncts share one fetcher, so identical sub-queries hit the cache
+// no matter which disjunct issued them first; on failure the error of the
+// lowest-indexed failing disjunct is returned, so parallel runs report
+// errors deterministically. The rule applies to
 // post-retry errors: a disjunct's error surfaces only after its peer calls
 // exhausted their attempt budget (wrapped with the attempt count, %w chain
 // intact), so the winning error is as stable under retries as without
@@ -422,7 +374,7 @@ func (e *Engine) answerUCQ(ctx context.Context, res *rewrite.Result) (*pattern.T
 	n := len(res.Disjuncts)
 	sets := make([]*pattern.TupleSet, n)
 	errs := make([]error, n)
-	evalOne := func(i int) {
+	plan.Fanout(n, func(i int) {
 		d := res.Disjuncts[i]
 		bindings, err := e.evalDisjunct(ctx, f, d.Query.GP)
 		if err != nil {
@@ -432,17 +384,7 @@ func (e *Engine) answerUCQ(ctx context.Context, res *rewrite.Result) (*pattern.T
 		s := pattern.NewTupleSet()
 		d.Project(bindings, s)
 		sets[i] = s
-	}
-	if e.opts.Serial {
-		for i := 0; i < n; i++ {
-			evalOne(i)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		plan.Fanout(n, evalOne)
-	}
+	})
 	m := f.snapshot(res)
 	publishMetrics(m)
 	if err := ctx.Err(); err != nil {
@@ -472,7 +414,6 @@ var (
 	obsBindSteps = obs.Default.Counter(`rps_fed_join_steps_total{strategy="bind"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
 	obsExtSteps  = obs.Default.Counter(`rps_fed_join_steps_total{strategy="extension"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
 	obsCacheHits = obs.Default.Counter("rps_fed_cache_hits_total", "Sub-queries answered from the fetch cache")
-	obsResizes   = obs.Default.Counter("rps_fed_adaptive_resizes_total", "Adaptive probe batch size changes")
 	obsInFlight  = obs.Default.Gauge("rps_fed_in_flight_peak", "Peak concurrently outstanding remote requests of any query")
 	obsDisjuncts = obs.Default.Histogram("rps_fed_disjuncts", "UCQ size per federated query (power-of-two buckets)")
 
@@ -498,7 +439,6 @@ func publishMetrics(m *Metrics) {
 	obsBindSteps.Add(int64(m.BindSteps))
 	obsExtSteps.Add(int64(m.ExtensionSteps))
 	obsCacheHits.Add(int64(m.CacheHits))
-	obsResizes.Add(int64(m.AdaptiveResizes))
 	obsInFlight.SetMax(int64(m.InFlightMax))
 	obsDisjuncts.Observe(int64(m.Disjuncts))
 	if m.Partial {
@@ -622,14 +562,12 @@ func patternIRIs(tp pattern.TriplePattern) []rdf.Term {
 // compatibility — the same join per-binding probing performs, at a
 // fraction of the round trips.
 //
-// When every restriction binds the same variable set (probe partitions
-// them so — see probe), the batch renders as ONE copy of the pattern
-// joined with a native VALUES block: the peer evaluates one pattern scan
-// per probe, however many bindings it carries. Mixed domains — and
-// unionProbes, the legacy rendering kept for measurement — fall back to a
-// UNION with one filtered copy of the pattern per restriction, one scan
-// per binding. Either way it returns the projected variable order.
-func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding, unionProbes bool) (string, []string, error) {
+// The restrictions must all bind the same variable set (probe partitions
+// them so — see probe): the batch renders as ONE copy of the pattern
+// joined with a native VALUES block, so the peer evaluates one pattern
+// scan per probe, however many bindings it carries. It returns the
+// projected variable order.
+func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding) (string, []string, error) {
 	vars := tp.Vars()
 	for _, e := range tp.Elems() {
 		if !e.IsVar() && e.Term().IsBlank() {
@@ -644,42 +582,26 @@ func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding
 		}
 		return sq.String(), vars, nil
 	}
-	if !unionProbes && pattern.UniformDomain(restrictions) {
-		names := restrictionDomain(restrictions[0])
-		rows := make([]pattern.Tuple, len(restrictions))
-		for i, r := range restrictions {
-			row := make(pattern.Tuple, len(names))
-			for j, v := range names {
-				row[j] = r[v]
-			}
-			rows[i] = row
-		}
-		sq := &sparql.Query{
-			Form:     sparql.FormSelect,
-			Distinct: true,
-			Vars:     vars,
-			Where: &sparql.Group{
-				BGP:      pattern.GraphPattern{tp},
-				Children: []sparql.Expr{&sparql.Values{Names: names, Rows: rows}},
-			},
-		}
-		return sq.String(), vars, nil
+	if !pattern.UniformDomain(restrictions) {
+		return "", nil, fmt.Errorf("federation: probe restrictions of %v bind different variables", tp)
 	}
-	groups := make([]sparql.Expr, len(restrictions))
+	names := restrictionDomain(restrictions[0])
+	rows := make([]pattern.Tuple, len(restrictions))
 	for i, r := range restrictions {
-		g := &sparql.Group{BGP: pattern.GraphPattern{tp}}
-		for _, v := range vars {
-			if t, bound := r[v]; bound {
-				g.Filters = append(g.Filters, sparql.Cond{Left: pattern.V(v), Right: pattern.C(t)})
-			}
+		row := make(pattern.Tuple, len(names))
+		for j, v := range names {
+			row[j] = r[v]
 		}
-		groups[i] = g
+		rows[i] = row
 	}
-	sq := &sparql.Query{Form: sparql.FormSelect, Distinct: true, Vars: vars}
-	if len(groups) == 1 {
-		sq.Where = groups[0]
-	} else {
-		sq.Where = &sparql.Union{Alternatives: groups}
+	sq := &sparql.Query{
+		Form:     sparql.FormSelect,
+		Distinct: true,
+		Vars:     vars,
+		Where: &sparql.Group{
+			BGP:      pattern.GraphPattern{tp},
+			Children: []sparql.Expr{&sparql.Values{Names: names, Rows: rows}},
+		},
 	}
 	return sq.String(), vars, nil
 }

@@ -23,8 +23,6 @@ type fetcher struct {
 	eng        *Engine
 	window     int
 	batch      int
-	serial     bool
-	adaptive   bool
 	policy     RetryPolicy
 	hedge      bool
 	hedgeAfter time.Duration
@@ -38,10 +36,7 @@ type fetcher struct {
 	cache     map[string]*fetchEntry
 	slots     map[string]chan struct{}
 	sources   map[string]bool
-	rtt       map[string]time.Duration // per-peer EWMA of per-binding probe service time
-	lastBatch map[string]int           // last adaptive batch size per candidate-source set
-	skipped   map[string]string        // sources exhausted under Options.Partial → error summary
-	resizes   int
+	skipped   map[string]string // sources exhausted under Options.Partial → error summary
 	calls     int
 	batches   int
 	rows      int
@@ -67,12 +62,10 @@ type fetchEntry struct {
 }
 
 func newFetcher(e *Engine) *fetcher {
-	f := &fetcher{
+	return &fetcher{
 		eng:        e,
 		window:     e.opts.window(),
 		batch:      e.opts.batchSize(),
-		serial:     e.opts.Serial,
-		adaptive:   e.opts.Adaptive,
 		policy:     e.opts.Retry,
 		hedge:      e.opts.Hedge,
 		hedgeAfter: e.opts.HedgeAfter,
@@ -80,26 +73,9 @@ func newFetcher(e *Engine) *fetcher {
 		cache:      make(map[string]*fetchEntry),
 		slots:      make(map[string]chan struct{}),
 		sources:    make(map[string]bool),
-		rtt:        make(map[string]time.Duration),
-		lastBatch:  make(map[string]int),
 		skipped:    make(map[string]string),
 		epochs:     e.epochVector(),
 	}
-	return f
-}
-
-// fanout runs the tasks concurrently — or one after the other under
-// Options.Serial, so the serial mediator really is serial all the way down
-// (its InFlightMax stays 1) and serial-vs-parallel comparisons measure the
-// executor, not just the disjunct loop.
-func (f *fetcher) fanout(n int, task func(int)) {
-	if f.serial {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
-	plan.Fanout(n, task)
 }
 
 // snapshot freezes the counters into a Metrics report.
@@ -117,7 +93,6 @@ func (f *fetcher) snapshot(res *rewrite.Result) *Metrics {
 		SourcesContacted: len(f.sources),
 		CacheHits:        f.cacheHits,
 		InFlightMax:      f.flightMax,
-		AdaptiveResizes:  f.resizes,
 		Retries:          f.retries,
 		Failovers:        f.failovers,
 		Hedges:           f.hedges,
@@ -348,13 +323,11 @@ func bindingsBytes(rows []pattern.Binding) int64 {
 
 // query sends one query text to one source, accounting the message.
 // bindings is the probe batch size the query carries (0: not a probe);
-// probes feed the peer's service-time EWMA, and multi-binding
-// probes count as batches. The call runs under the fetcher's retry policy
-// (callRetry): transient failures are retried with backoff across the
-// source's replica set, hedged when Options.Hedge. Each attempt takes an
-// in-flight slot of the endpoint it lands on; the request inherits ctx
-// when the client supports it (ContextClient), and either way a canceled
-// context stops the fetch before the message is sent.
+// multi-binding probes count as batches. The call runs under the fetcher's
+// retry policy (callRetry): transient failures are retried with backoff
+// across the source's replica set, hedged when Options.Hedge. Each attempt
+// takes an in-flight slot of the endpoint it lands on, and the request
+// inherits the attempt's context.
 //
 // With a streaming client the result crosses the wire as a chunked stream,
 // opened and fully drained inside the attempt: an ASK stops the peer's
@@ -374,23 +347,15 @@ func (f *fetcher) query(ctx context.Context, src peer.Entry, queryText string, b
 			return nil, err
 		}
 		release := f.acquire(addr)
-		start := time.Now()
 		var res *sparql.Result
 		var err error
-		switch {
-		case f.eng.stream != nil:
+		if f.eng.stream != nil {
 			var rs *peer.ResultStream
-			rs, err = f.eng.stream.QueryStream(actx, addr, queryText)
-			if err == nil {
+			if rs, err = f.eng.stream.QueryStream(actx, addr, queryText); err == nil {
 				res, err = rs.Result()
 			}
-		case f.eng.cc != nil:
-			res, err = f.eng.cc.QueryContext(actx, addr, queryText)
-		default:
-			res, err = f.eng.client.Query(addr, queryText)
-		}
-		if bindings > 0 && err == nil {
-			f.observeProbe(addr, time.Since(start), bindings)
+		} else {
+			res, err = f.eng.client.QueryContext(actx, addr, queryText)
 		}
 		release()
 		if err != nil {
@@ -412,9 +377,7 @@ func (f *fetcher) query(ctx context.Context, src peer.Entry, queryText string, b
 
 // queryBatch ships several query texts to one source as a single message,
 // under the same retry/failover/hedging loop as query. The caller
-// guarantees the engine's client supports batching. Batched messages have
-// no context variant; a canceled context stops each attempt before its
-// message is sent.
+// guarantees the engine's client supports batching.
 func (f *fetcher) queryBatch(ctx context.Context, src peer.Entry, texts []string) ([]*sparql.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -424,7 +387,7 @@ func (f *fetcher) queryBatch(ctx context.Context, src peer.Entry, texts []string
 			return nil, err
 		}
 		release := f.acquire(addr)
-		rs, err := f.eng.batch.QueryBatch(addr, texts)
+		rs, err := f.eng.batch.QueryBatch(actx, addr, texts)
 		release()
 		if err != nil {
 			return nil, err
@@ -507,7 +470,7 @@ func (f *fetcher) fetchPattern(ctx context.Context, tp pattern.TriplePattern) ([
 	if impossible(tp) {
 		return nil, nil
 	}
-	queryText, vars, err := renderPatternQuery(tp, nil, false)
+	queryText, vars, err := renderPatternQuery(tp, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +489,7 @@ func (f *fetcher) fetchPattern(ctx context.Context, tp pattern.TriplePattern) ([
 func (f *fetcher) fetchMerged(ctx context.Context, candidates []peer.Entry, queryText string, vars []string, bindings int) ([]pattern.Binding, error) {
 	perSrc := make([][]pattern.Binding, len(candidates))
 	errs := make([]error, len(candidates))
-	f.fanout(len(candidates), func(i int) {
+	plan.Fanout(len(candidates), func(i int) {
 		res, err := f.query(ctx, candidates[i], queryText, bindings)
 		if err != nil {
 			if f.partial && ctx.Err() == nil && retryable(err) {
@@ -544,70 +507,6 @@ func (f *fetcher) fetchMerged(ctx context.Context, candidates []peer.Entry, quer
 		}
 	}
 	return mergeBindings(perSrc, vars), nil
-}
-
-// observeProbe folds one observed probe round trip, normalised to the
-// number of bindings it carried, into the peer's per-binding service-time
-// EWMA (α = 0.3: responsive to shifts, stable against jitter), and feeds
-// the engine's throughput tuner.
-func (f *fetcher) observeProbe(addr string, d time.Duration, bindings int) {
-	per := d / time.Duration(bindings)
-	f.mu.Lock()
-	if old, ok := f.rtt[addr]; ok {
-		f.rtt[addr] = (3*per + 7*old) / 10
-	} else {
-		f.rtt[addr] = per
-	}
-	f.mu.Unlock()
-	f.eng.tuner.observe(bindings, d)
-}
-
-// probeBatchSize returns the number of bindings the next probe query ships.
-// Fixed at f.batch unless Options.Adaptive, in which case it targets the
-// probe service time the engine's throughput tuner currently recommends
-// (a hill-climbing controller replacing the old fixed 25ms target — see
-// probeTuner) using the worst per-binding EWMA among the pattern's
-// candidate sources, clamped to [1, f.batch] (an unobserved peer starts at
-// the cap, exactly like the fixed mediator). Size changes are tracked per
-// candidate-source set — concurrent disjuncts probing different peers
-// through the shared fetcher must not read as resizes of each other — and
-// counted as AdaptiveResizes.
-func (f *fetcher) probeBatchSize(tp pattern.TriplePattern) int {
-	if !f.adaptive {
-		return f.batch
-	}
-	target := f.eng.tuner.targetNow()
-	sources := f.eng.reg.SelectSources(patternIRIs(tp))
-	var key strings.Builder
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var worst time.Duration
-	for _, src := range sources {
-		if r := f.rtt[src.Addr]; r > worst {
-			worst = r
-		}
-		key.WriteString(src.Addr)
-		key.WriteByte('\x00')
-	}
-	size := f.batch
-	if worst > 0 {
-		size = int(target / worst)
-		if size < 1 {
-			size = 1
-		}
-		if size > f.batch {
-			size = f.batch
-		}
-	}
-	prev, seen := f.lastBatch[key.String()]
-	if !seen {
-		prev = f.batch
-	}
-	if size != prev {
-		f.resizes++
-	}
-	f.lastBatch[key.String()] = size
-	return size
 }
 
 // joinStep is the mediator's one rule for what crosses the network at a
@@ -633,27 +532,23 @@ func (f *fetcher) joinStep(ctx context.Context, tp pattern.TriplePattern, acc []
 }
 
 // probe retrieves the fragment of tp's extension compatible with the given
-// restrictions of tp's variables: they ship in batches per probe query — of
-// fixed size f.batch, or sized by the per-peer round-trip EWMA under
-// Options.Adaptive — the batch queries run concurrently (each source's
-// traffic bounded by its in-flight window), and the per-batch rows merge in
-// batch order. Restrictions are partitioned by bound-variable domain before
-// chunking, so every chunk is uniform and renders as a native VALUES block
-// (one pattern scan at the peer) rather than falling back to the
-// per-binding UNION rendering — a pure performance refinement:
-// renderPatternQuery stays correct on mixed domains.
+// restrictions of tp's variables: they ship f.batch at a time per probe
+// query, the batch queries run concurrently (each source's traffic bounded
+// by its in-flight window), and the per-batch rows merge in batch order.
+// Restrictions are partitioned by bound-variable domain before chunking, so
+// every chunk is uniform and renders as a native VALUES block (one pattern
+// scan at the peer).
 func (f *fetcher) probe(ctx context.Context, tp pattern.TriplePattern, restrictions []pattern.Binding) ([]pattern.Binding, error) {
-	batch := f.probeBatchSize(tp)
 	var chunks [][]pattern.Binding
 	for _, part := range partitionByDomain(restrictions) {
-		for start := 0; start < len(part); start += batch {
-			end := min(start+batch, len(part))
+		for start := 0; start < len(part); start += f.batch {
+			end := min(start+f.batch, len(part))
 			chunks = append(chunks, part[start:end])
 		}
 	}
 	perChunk := make([][]pattern.Binding, len(chunks))
 	errs := make([]error, len(chunks))
-	f.fanout(len(chunks), func(i int) {
+	plan.Fanout(len(chunks), func(i int) {
 		perChunk[i], errs[i] = f.probeChunk(ctx, tp, chunks[i])
 	})
 	for _, err := range errs {
@@ -687,7 +582,7 @@ func partitionByDomain(restrictions []pattern.Binding) [][]pattern.Binding {
 // probeChunk sends one batch of restrictions as a single probe query,
 // through the shared cache (identical probes recur across disjuncts).
 func (f *fetcher) probeChunk(ctx context.Context, tp pattern.TriplePattern, restrictions []pattern.Binding) ([]pattern.Binding, error) {
-	queryText, vars, err := renderPatternQuery(tp, restrictions, f.eng.opts.UnionProbes)
+	queryText, vars, err := renderPatternQuery(tp, restrictions)
 	if err != nil {
 		return nil, err
 	}
@@ -751,7 +646,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 		if impossible(tp) {
 			continue
 		}
-		text, vars, err := renderPatternQuery(tp, nil, false)
+		text, vars, err := renderPatternQuery(tp, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -812,7 +707,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 
 	// one round trip per source (batched when possible), concurrently
 	callErrs := make([]error, len(calls))
-	f.fanout(len(calls), func(ci int) {
+	plan.Fanout(len(calls), func(ci int) {
 		c := calls[ci]
 		var rs []*sparql.Result
 		var err error

@@ -25,12 +25,26 @@ import (
 // deployOn is deploy over a caller-provided network (so tests can inject
 // per-peer latency or failures before the engine runs).
 func deployOn(sys *core.System, net *simnet.Network, opts federation.Options) *federation.Engine {
+	return deployWireOn(sys, net, opts, false)
+}
+
+// oneShotClient hides peer.Client's QueryStream: a mediator over it takes
+// the one-shot wire, as one over any non-streaming client does.
+type oneShotClient struct{ federation.BatchClient }
+
+// deployWireOn is deployOn with the mediator on the one-shot wire when
+// oneShot is set, on the streamed wire otherwise.
+func deployWireOn(sys *core.System, net *simnet.Network, opts federation.Options, oneShot bool) *federation.Engine {
 	reg := peer.NewRegistry()
 	peer.Deploy(sys, net, reg)
 	net.Register("mediator", func(string, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{}, nil
 	})
-	return federation.New(sys, reg, peer.NewClient(net, "mediator"), opts)
+	var client federation.Client = peer.NewClient(net, "mediator")
+	if oneShot {
+		client = oneShotClient{peer.NewClient(net, "mediator")}
+	}
+	return federation.New(sys, reg, client, opts)
 }
 
 // renameFanSystem builds k peers, each holding one predicate's triples, and
@@ -76,33 +90,29 @@ func renameFanSystem(t testing.TB, k, factsPerPeer int) (*core.System, pattern.Q
 	return sys, q
 }
 
-// The parallel mediator must compute exactly the serial mediator's answers,
-// deterministically.
-func TestFederationParallelMatchesSerial(t *testing.T) {
+// The parallel mediator is deterministic: repeated runs return the same
+// answers — exactly the chase's certain answers — and ship the same rows.
+func TestFederationDeterministic(t *testing.T) {
 	sys, q := renameFanSystem(t, 6, 5)
-	engS, _ := deploy(sys, federation.Options{Serial: true})
-	want, mS, err := engS.Answer(q)
-	if err != nil {
-		t.Fatal(err)
+	want := chaseAnswers(t, sys, q)
+	if want.Len() != 30 {
+		t.Fatalf("chase answers = %d, want 30", want.Len())
 	}
-	if mS.Disjuncts != 6 || want.Len() != 30 {
-		t.Fatalf("serial disjuncts=%d answers=%d", mS.Disjuncts, want.Len())
-	}
-	if mS.InFlightMax > 1 {
-		t.Errorf("serial mediator overlapped requests (InFlightMax=%d)", mS.InFlightMax)
-	}
-	engP, _ := deploy(sys, federation.Options{})
+	eng, _ := deploy(sys, federation.Options{})
+	var first *federation.Metrics
 	for run := 0; run < 3; run++ {
-		got, mP, err := engP.Answer(q)
+		got, m, err := eng.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("run %d: parallel answers diverge:\n got %v\nwant %v",
-				run, got.Sorted(), want.Sorted())
+		if m.Disjuncts != 6 || !got.Equal(want) {
+			t.Fatalf("run %d: %d disjuncts, answers diverge from the chase:\n got %v\nwant %v",
+				run, m.Disjuncts, got.Sorted(), want.Sorted())
 		}
-		if mP.Disjuncts != mS.Disjuncts || mP.RowsFetched != mS.RowsFetched {
-			t.Errorf("run %d: metrics drift: parallel %+v serial %+v", run, mP, mS)
+		if first == nil {
+			first = m
+		} else if m.RowsFetched != first.RowsFetched {
+			t.Errorf("run %d: shipped %d rows, run 0 shipped %d", run, m.RowsFetched, first.RowsFetched)
 		}
 	}
 }
@@ -463,7 +473,7 @@ func TestFederatedPlanExplainAndExecute(t *testing.T) {
 			}
 			s := pq.Explain()
 			for _, want := range append(tc.explain,
-				"federated UCQ of 1 disjuncts, parallel mediator",
+				"-- federated UCQ of 1 disjuncts\n",
 				"Union[parallel stream branches=1]") {
 				if !strings.Contains(s, want) {
 					t.Errorf("explain output missing %q:\n%s", want, s)
@@ -504,12 +514,11 @@ func TestFederatedPlanExplainAndExecute(t *testing.T) {
 	}
 }
 
-// adaptiveChainSystem is a 3-hop chain whose second and third patterns both
-// route to the slow "bulk" peer: alice likes N persons (at "facts"), each
-// person knows one friend and each friend has a name (at "bulk"). The
-// second hop's probe is the first contact with bulk (no RTT observed yet);
-// by the third hop the sizer has an EWMA to work from.
-func adaptiveChainSystem(t testing.TB, n int) (*core.System, pattern.Query) {
+// probeChainSystem is a 3-hop chain whose second and third patterns both
+// route to the "bulk" peer: alice likes N persons (at "facts"), each
+// person knows one friend and each friend has a name (at "bulk"), so both
+// later hops are probes shipping N bindings.
+func probeChainSystem(t testing.TB, n int) (*core.System, pattern.Query) {
 	t.Helper()
 	sys := core.NewSystem()
 	facts := sys.AddPeer("facts")
@@ -537,72 +546,4 @@ func adaptiveChainSystem(t testing.TB, n int) (*core.System, pattern.Query) {
 		pattern.TP(pattern.V("y"), pattern.C(name), pattern.V("n")),
 	})
 	return sys, q
-}
-
-// TestAdaptiveBatchSizing verifies the RTT-driven probe batch sizer against
-// simnet's injectable latency (real sleeps, so the observed wall time
-// includes it — with the native VALUES probe rendering a batch is one
-// cheap pattern scan at the peer, so latency is what there is to observe).
-// The assertions follow from a guaranteed bound, so they hold on any
-// machine: the first probe to the slow peer ships all 600 bindings in one
-// ceiling-sized batch and takes at least the injected 30ms, so the
-// recorded per-binding service time is at least 30ms/600 = 50µs and the
-// next batch is sized at most 25ms/50µs = 500 — a resize away from the
-// 1024 ceiling, splitting the last hop into at least two probes
-// (round-trip and evaluation cost only shrink batches further). A
-// zero-latency control run pins that adaptivity never changes answers.
-func TestAdaptiveBatchSizing(t *testing.T) {
-	const n = 600
-	const ceiling = 1024
-	run := func(latency time.Duration, adaptive bool) (*pattern.TupleSet, *federation.Metrics) {
-		t.Helper()
-		sys, q := adaptiveChainSystem(t, n)
-		var net *simnet.Network
-		if latency > 0 {
-			net = simnet.New(simnet.WithRealDelay())
-			net.SetNodeLatency("peer:bulk", latency, 0)
-		} else {
-			net = simnet.New()
-		}
-		eng := deployOn(sys, net, federation.Options{BatchSize: ceiling, Adaptive: adaptive})
-		got, m, err := eng.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != n {
-			t.Fatalf("answers = %d, want %d", got.Len(), n)
-		}
-		return got, m
-	}
-
-	t.Run("slowPeer", func(t *testing.T) {
-		want, mFixed := run(30*time.Millisecond, false)
-		if mFixed.AdaptiveResizes != 0 {
-			t.Errorf("fixed run reported %d adaptive resizes, want 0", mFixed.AdaptiveResizes)
-		}
-		got, m := run(30*time.Millisecond, true)
-		if !got.Equal(want) {
-			t.Fatalf("adaptive answers diverge from fixed:\n got %v\nwant %v", got.Sorted(), want.Sorted())
-		}
-		if m.AdaptiveResizes < 1 {
-			t.Errorf("adaptive sizer never resized (metrics %+v)", m)
-		}
-		if m.RemoteCalls <= mFixed.RemoteCalls {
-			t.Errorf("adaptive run did not split probes: %d calls vs fixed %d (metrics %+v)",
-				m.RemoteCalls, mFixed.RemoteCalls, m)
-		}
-	})
-
-	t.Run("zeroLatencyControl", func(t *testing.T) {
-		want, _ := run(0, false)
-		got, m := run(0, true)
-		if !got.Equal(want) {
-			t.Fatalf("adaptive answers diverge from fixed:\n got %v\nwant %v", got.Sorted(), want.Sorted())
-		}
-		// batch sizes may or may not shrink depending on machine speed; the
-		// metric just has to stay coherent
-		if m.AdaptiveResizes < 0 || m.RemoteCalls < 3 {
-			t.Errorf("incoherent metrics %+v", m)
-		}
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -12,7 +11,7 @@ import (
 )
 
 // PlannedQuery is a federated execution plan: the rewriting's UCQ as a
-// (parallel) Union over per-disjunct mediator plans whose leaves are
+// parallel Union over per-disjunct mediator plans whose leaves are
 // plan.RemoteScan operators bound to a shared fetcher. The plan is both
 // renderable (Explain) and executable (open Root and drain it — the leaves
 // fetch through the engine's client and shared cache; check Err afterwards,
@@ -32,19 +31,10 @@ func (p *PlannedQuery) Err() error { return p.f.Err() }
 // Metrics freezes the fetch-layer counters accumulated so far.
 func (p *PlannedQuery) Metrics() *Metrics { return p.f.snapshot(p.Rewriting) }
 
-// Explain renders the federated plan, prefixed with a summary of the
-// rewriting and the executor's concurrency parameters.
+// Explain renders the federated plan, prefixed with the size of the
+// rewriting.
 func (p *PlannedQuery) Explain() string {
-	var b strings.Builder
-	mode := "parallel"
-	if sn, ok := p.Root.(*plan.Distinct); ok {
-		if u, ok := sn.Child.(*plan.Union); ok && !u.Parallel {
-			mode = "serial"
-		}
-	}
-	fmt.Fprintf(&b, "-- federated UCQ of %d disjuncts, %s mediator\n", p.Rewriting.Size(), mode)
-	b.WriteString(plan.Format(p.Root))
-	return b.String()
+	return fmt.Sprintf("-- federated UCQ of %d disjuncts\n", p.Rewriting.Size()) + plan.Format(p.Root)
 }
 
 // Plan builds the federated plan of q without executing it. Executing the
@@ -66,7 +56,7 @@ func (e *Engine) Plan(q pattern.Query) (*PlannedQuery, error) {
 	// with a streaming client, the disjunct union merges rows as branches
 	// produce them — the first answer surfaces at the fastest branch's
 	// speed, and closing the plan reaches into every branch's remote scans
-	root := &plan.Distinct{Child: &plan.Union{Children: children, Parallel: !e.opts.Serial, Stream: e.stream != nil}}
+	root := &plan.Distinct{Child: &plan.Union{Children: children, Stream: e.stream != nil}}
 	return &PlannedQuery{Root: root, Rewriting: res, f: f}, nil
 }
 

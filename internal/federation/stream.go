@@ -40,7 +40,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 	if impossible(tp) {
 		return replay(nil)
 	}
-	queryText, vars, err := renderPatternQuery(tp, nil, false)
+	queryText, vars, err := renderPatternQuery(tp, nil)
 	if err != nil {
 		f.recordErr(err)
 		return replay(nil)
@@ -59,7 +59,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 	ch := make(chan pattern.Binding)
 	go func() {
 		defer close(ch)
-		f.fanout(len(candidates), func(i int) {
+		plan.Fanout(len(candidates), func(i int) {
 			src := candidates[i]
 			_, err := callRetry(f, ictx, src, func(actx context.Context, addr string) (struct{}, error) {
 				return struct{}{}, f.pumpStream(actx, addr, src, queryText, vars, ch, ictx.Done())

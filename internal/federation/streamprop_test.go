@@ -20,18 +20,17 @@ import (
 
 // The streaming wire protocol is an encoding change, not a semantics
 // change: on random peer systems, the streaming engine, the one-shot
-// engine (Options.OneShot) and the single-store chase oracle must agree
-// exactly, under both join strategies.
+// engine (over a client without QueryStream) and the single-store chase
+// oracle must agree exactly.
 func TestStreamedMatchesOneShotProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sys, q := randomFederationCase(t, rng)
 		want := chaseAnswers(t, sys, q)
 		for _, oneShot := range []bool{false, true} {
-			eng := deployOn(sys, simnet.New(), federation.Options{
-				OneShot: oneShot,
+			eng := deployWireOn(sys, simnet.New(), federation.Options{
 				Rewrite: rewrite.Options{MaxQueries: 500000},
-			})
+			}, oneShot)
 			got, _, err := eng.Answer(q)
 			if err != nil {
 				t.Logf("seed %d oneShot=%v: %v", seed, oneShot, err)
@@ -147,7 +146,11 @@ func TestStreamEarlyStopProducesFewerRows(t *testing.T) {
 		net.Register("mediator", func(string, simnet.Message) (simnet.Message, error) {
 			return simnet.Message{}, nil
 		})
-		eng := federation.New(sys, reg, peer.NewClient(net, "mediator"), federation.Options{OneShot: oneShot})
+		var client federation.Client = peer.NewClient(net, "mediator")
+		if oneShot {
+			client = oneShotClient{peer.NewClient(net, "mediator")}
+		}
+		eng := federation.New(sys, reg, client, federation.Options{})
 		pq, err := eng.Plan(q)
 		if err != nil {
 			t.Fatal(err)

@@ -10,14 +10,14 @@ import (
 
 // The native VALUES probe rendering is what makes batched bind-join probes
 // cheap at the peer: a batch of 16 bindings is ONE pattern scan hash-joined
-// against the inlined rows, where the legacy UNION rendering evaluated one
-// filtered copy of the pattern per binding. Pinned on the peers'
-// process-wide BGP-evaluation counter.
+// against the inlined rows, not one filtered copy of the pattern per
+// binding. Pinned on the peers' process-wide BGP-evaluation counter, over
+// both wires.
 func TestValuesProbeBatchIsOnePatternScan(t *testing.T) {
-	sys, q := adaptiveChainSystem(t, 16)
+	sys, q := probeChainSystem(t, 16)
 
-	scansDuring := func(opts federation.Options) int64 {
-		eng := deployOn(sys, simnet.New(), opts)
+	scansDuring := func(oneShot bool) int64 {
+		eng := deployWireOn(sys, simnet.New(), federation.Options{BatchSize: 16}, oneShot)
 		before := sparql.PatternScans()
 		got, _, err := eng.Answer(q)
 		if err != nil {
@@ -32,24 +32,13 @@ func TestValuesProbeBatchIsOnePatternScan(t *testing.T) {
 	// chain of 3 patterns, 16 bindings wide: the first pattern is one
 	// unrestricted fetch, the two probe hops ship one VALUES batch each —
 	// 3 scans total, each a single batch
-	base := federation.Options{BatchSize: 16}
-	if got := scansDuring(base); got != 3 {
+	if got := scansDuring(false); got != 3 {
 		t.Errorf("VALUES probes: %d pattern scans, want 3 (one per hop)", got)
-	}
-
-	// the legacy UNION rendering pays one scan per shipped binding:
-	// 1 + 16 + 16
-	union := base
-	union.UnionProbes = true
-	if got := scansDuring(union); got != 33 {
-		t.Errorf("UNION probes: %d pattern scans, want 33 (one per binding per hop)", got)
 	}
 
 	// the one-shot wire changes the encoding, not the evaluation: still one
 	// scan per VALUES batch
-	oneShot := base
-	oneShot.OneShot = true
-	if got := scansDuring(oneShot); got != 3 {
+	if got := scansDuring(true); got != 3 {
 		t.Errorf("VALUES probes over the one-shot wire: %d pattern scans, want 3", got)
 	}
 }

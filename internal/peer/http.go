@@ -232,13 +232,13 @@ func (c *HTTPClient) QueryContext(ctx context.Context, endpoint, queryText strin
 }
 
 // QueryBatch POSTs several query texts in one request (peer.BatchContentType)
-// and decodes the per-query results.
-func (c *HTTPClient) QueryBatch(endpoint string, queries []string) ([]*sparql.Result, error) {
+// and decodes the per-query results. The POST inherits ctx.
+func (c *HTTPClient) QueryBatch(ctx context.Context, endpoint string, queries []string) ([]*sparql.Result, error) {
 	payload, err := EncodeBatchRequest(queries)
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.post(context.Background(), endpoint, BatchContentType, string(payload))
+	body, err := c.post(ctx, endpoint, BatchContentType, string(payload))
 	if err != nil {
 		return nil, err
 	}

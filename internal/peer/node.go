@@ -156,8 +156,12 @@ func (c *Client) QueryContext(ctx context.Context, addr, queryText string) (*spa
 }
 
 // QueryBatch ships several query texts to addr in one network message and
-// decodes the per-query results (aligned by index).
-func (c *Client) QueryBatch(addr string, queries []string) ([]*sparql.Result, error) {
+// decodes the per-query results (aligned by index). Like QueryContext, it
+// checks ctx before the call.
+func (c *Client) QueryBatch(ctx context.Context, addr string, queries []string) ([]*sparql.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	payload, err := EncodeBatchRequest(queries)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package peer_test
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -231,7 +232,7 @@ func TestNodeBatchQueries(t *testing.T) {
 	})
 	c := peer.NewClient(net, "client")
 	before := net.Stats().Calls
-	rs, err := c.QueryBatch("peer:source3", []string{
+	rs, err := c.QueryBatch(context.Background(), "peer:source3", []string{
 		`SELECT ?x ?y WHERE { ?x <http://example.org/age> ?y }`,
 		`ASK { <http://xmlns.com/foaf/0.1/Willem_Dafoe> <http://example.org/age> "59" }`,
 		`SELECT ?x WHERE { ?x <http://example.org/age> "59" }`,
@@ -258,7 +259,7 @@ func TestNodeBatchQueries(t *testing.T) {
 		t.Errorf("queries served = %d, want 3", nodes[2].QueriesServed())
 	}
 	// one bad query fails the whole batch
-	if _, err := c.QueryBatch("peer:source3", []string{"garbage"}); err == nil {
+	if _, err := c.QueryBatch(context.Background(), "peer:source3", []string{"garbage"}); err == nil {
 		t.Error("bad batch query should error")
 	}
 }
@@ -269,7 +270,7 @@ func TestHTTPBatch(t *testing.T) {
 	srv := httptest.NewServer(peer.NewHTTPService(sys.Peer("source3")))
 	defer srv.Close()
 	c := &peer.HTTPClient{}
-	rs, err := c.QueryBatch(srv.URL, []string{
+	rs, err := c.QueryBatch(context.Background(), srv.URL, []string{
 		`SELECT ?x ?y WHERE { ?x <http://example.org/age> ?y }`,
 		`ASK { <http://xmlns.com/foaf/0.1/Willem_Dafoe> <http://example.org/age> "59" }`,
 	})
@@ -279,7 +280,7 @@ func TestHTTPBatch(t *testing.T) {
 	if len(rs) != 2 || len(rs[0].Rows) != 3 || !rs[1].True {
 		t.Errorf("batch over HTTP = %+v", rs)
 	}
-	if _, err := c.QueryBatch(srv.URL, []string{"garbage"}); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := c.QueryBatch(context.Background(), srv.URL, []string{"garbage"}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("expected 400 error, got %v", err)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
-	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/sparql"
 )
 
 // Retryable classifies a peer-call error as transient (a retry against the
@@ -44,70 +42,4 @@ func Retryable(err error) bool {
 		return true
 	}
 	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
-}
-
-// QueryClient is the minimal query surface RetryClient wraps: both Client
-// (simnet) and HTTPClient satisfy it.
-type QueryClient interface {
-	Query(addr, queryText string) (*sparql.Result, error)
-}
-
-// RetryClient decorates a QueryClient with bounded retries: transient
-// failures (per Retryable) are retried up to Attempts times with doubling
-// backoff, terminal failures return immediately. It serves non-federation
-// callers — scripts, tests, simple clients over either transport; the
-// federation mediator has its own retry loop (with failover, hedging, and
-// circuit breakers) and does not stack on this wrapper.
-type RetryClient struct {
-	Inner QueryClient
-	// Attempts is the total number of tries (0 or 1 = no retries).
-	Attempts int
-	// Backoff is the delay before the second attempt, doubling each retry
-	// (0 = 2ms).
-	Backoff time.Duration
-}
-
-// Query forwards to the inner client, retrying transient failures.
-func (c *RetryClient) Query(addr, queryText string) (*sparql.Result, error) {
-	return c.QueryContext(context.Background(), addr, queryText)
-}
-
-// QueryContext is Query under a context: the backoff sleeps are
-// interruptible and no attempt starts after ctx is done. When the inner
-// client supports contexts (ContextQueryClient), attempts inherit ctx.
-func (c *RetryClient) QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error) {
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = 2 * time.Millisecond
-	}
-	var res *sparql.Result
-	var err error
-	for attempt := 1; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err != nil {
-				return nil, err
-			}
-			return nil, cerr
-		}
-		if cc, ok := c.Inner.(ContextQueryClient); ok {
-			res, err = cc.QueryContext(ctx, addr, queryText)
-		} else {
-			res, err = c.Inner.Query(addr, queryText)
-		}
-		if err == nil || !Retryable(err) || attempt >= c.Attempts {
-			return res, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, err
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-}
-
-// ContextQueryClient is a QueryClient whose requests can carry a context.
-type ContextQueryClient interface {
-	QueryClient
-	QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error)
 }

@@ -17,7 +17,7 @@ import (
 // renders the usual EXPLAIN tree with an "(actual rows=… nexts=… time=…)"
 // annotation per operator line.
 //
-// The counters are atomics because parallel operators (Union.Parallel, the
+// The counters are atomics because parallel operators (Union, the
 // fan-out scan) drain different sub-iterators of one node concurrently.
 // Times are inclusive: an operator's figure contains its children's, like
 // the "actual time" of most databases' EXPLAIN ANALYZE. Open time counts
@@ -80,7 +80,7 @@ func instrument(n Node) *statsNode {
 		for i, c := range x.Children {
 			children[i] = instrument(c)
 		}
-		return &statsNode{inner: &Union{Children: children, Parallel: x.Parallel, Stream: x.Stream}}
+		return &statsNode{inner: &Union{Children: children, Stream: x.Stream}}
 	default:
 		// leaves with no Node children (Bindings, Unit, RemoteScan) and any
 		// future operator: wrap as-is
@@ -219,7 +219,7 @@ func ExplainAnalyzeUCQ(ctx context.Context, g rdf.Source, qs []pattern.Query) (s
 	for i, q := range qs {
 		children[i] = &Distinct{Child: &Project{Child: certainFilter(Plan(src, q.GP), q.Free), Cols: q.Free}}
 	}
-	root := instrument(&Distinct{Child: &Union{Children: children, Parallel: true}})
+	root := instrument(&Distinct{Child: &Union{Children: children}})
 	rows := len(Drain(root.Open(ctx, src)))
 	root.format(&b, 0)
 	return b.String(), rows, ctx.Err()

@@ -35,9 +35,9 @@
 //   - Project        π onto a variable list.
 //   - Distinct       δ by a collision-free (length-prefixed) binding key.
 //   - Filter         σ by an arbitrary predicate on bindings.
-//   - Union          ∪ of subplans, either sequential or parallel: the
-//     parallel form fans the branches out across GOMAXPROCS-bounded
-//     goroutines and merges deterministically in branch order.
+//   - Union          ∪ of subplans, always parallel: the branches fan out
+//     across GOMAXPROCS-bounded goroutines and merge deterministically in
+//     branch order (or as they arrive, in the streaming form).
 //   - RemoteScan     the federated leaf: one pattern answered by its
 //     candidate peers' SPARQL services instead of a local index, annotated
 //     with source fan-out and per-peer in-flight window (the federation

@@ -727,20 +727,18 @@ func (Unit) format(b *strings.Builder, depth int) {
 // --------------------------------------------------------------------- Union
 
 // Union concatenates the streams of its children (∪, bag semantics; wrap in
-// Distinct for set semantics). The sequential form opens children lazily in
-// order; the parallel form drains every child concurrently across a
+// Distinct for set semantics). It drains every child concurrently across a
 // GOMAXPROCS-bounded worker pool and then replays the buffered branch
-// results in child order, so output order is deterministic either way.
+// results in child order, so output order is deterministic.
 //
-// The streaming parallel form (Stream, only meaningful with Parallel) gives
-// up the deterministic replay order: children still run concurrently, but
-// their rows are merged into the output as they arrive, so the first row
-// surfaces at the speed of the fastest branch instead of the slowest — the
-// shape that lets remote scans below the union stream end to end. Closing
-// the iterator cancels the branches mid-flight.
+// The streaming form (Stream) gives up the deterministic replay order:
+// children still run concurrently, but their rows are merged into the
+// output as they arrive, so the first row surfaces at the speed of the
+// fastest branch instead of the slowest — the shape that lets remote scans
+// below the union stream end to end. Closing the iterator cancels the
+// branches mid-flight.
 type Union struct {
 	Children []Node
-	Parallel bool
 	Stream   bool
 }
 
@@ -753,9 +751,6 @@ func (u *Union) Vars() []string {
 }
 
 func (u *Union) Open(ctx context.Context, g rdf.Source) Iterator {
-	if !u.Parallel {
-		return &unionIter{ctx: ctx, g: g, children: u.Children}
-	}
 	if u.Stream {
 		ictx, cancel := context.WithCancel(ctx)
 		ch := make(chan pattern.Binding)
@@ -790,39 +785,6 @@ func (u *Union) Open(ctx context.Context, g rdf.Source) Iterator {
 	return &sliceIter{rows: rows}
 }
 
-type unionIter struct {
-	ctx      context.Context
-	g        rdf.Source
-	children []Node
-	cur      Iterator
-	i        int
-}
-
-func (it *unionIter) Next() (pattern.Binding, bool) {
-	for {
-		if it.cur == nil {
-			if it.i >= len(it.children) || ctxDone(it.ctx) {
-				return nil, false
-			}
-			it.cur = it.children[it.i].Open(it.ctx, it.g)
-			it.i++
-		}
-		mu, ok := it.cur.Next()
-		if ok {
-			return mu, true
-		}
-		it.cur.Close()
-		it.cur = nil
-	}
-}
-
-func (it *unionIter) Close() {
-	if it.cur != nil {
-		it.cur.Close()
-		it.cur = nil
-	}
-}
-
 // chanUnionIter merges the streaming parallel union's branch rows as they
 // arrive. Close cancels the branches and drains the merge channel so the
 // branch workers observe the cancellation instead of blocking on a send.
@@ -851,12 +813,10 @@ func (it *chanUnionIter) Close() {
 
 func (u *Union) format(b *strings.Builder, depth int) {
 	indent(b, depth)
-	if u.Parallel && u.Stream {
+	if u.Stream {
 		fmt.Fprintf(b, "Union[parallel stream branches=%d]\n", len(u.Children))
-	} else if u.Parallel {
-		fmt.Fprintf(b, "Union[parallel branches=%d]\n", len(u.Children))
 	} else {
-		fmt.Fprintf(b, "Union[branches=%d]\n", len(u.Children))
+		fmt.Fprintf(b, "Union[parallel branches=%d]\n", len(u.Children))
 	}
 	for _, c := range u.Children {
 		c.format(b, depth+1)

@@ -78,5 +78,5 @@ func UnionPlan(g rdf.Source, qs []pattern.Query) Node {
 	for i, q := range qs {
 		children[i] = QueryPlan(g, q)
 	}
-	return &Distinct{Child: &Union{Children: children, Parallel: true}}
+	return &Distinct{Child: &Union{Children: children}}
 }

@@ -182,7 +182,7 @@ func (r *Result) UCQPlan(src rdf.Source) plan.Node {
 	for i, d := range r.Disjuncts {
 		children[i] = disjunctNode(src, d)
 	}
-	return &plan.Distinct{Child: &plan.Union{Children: children, Parallel: true}}
+	return &plan.Distinct{Child: &plan.Union{Children: children}}
 }
 
 // disjunctNode is the operator form of evalDisjunct.

@@ -37,9 +37,7 @@
 // probe wave (64 distinct bindings by default) ships as native SPARQL
 // VALUES blocks — one probe query carries a whole batch of bindings joined
 // against a single copy of the pattern, so the peer pays ONE pattern scan
-// per batch instead of one per binding (the legacy UNION-of-filtered-copies
-// rendering survives behind -fed-union-probes for measurement) — and a
-// larger one fetches the pattern's extension; a body with no constant to
+// per batch instead of one per binding — and a larger one fetches the pattern's extension; a body with no constant to
 // start from fetches its extensions up front, those bound for the same
 // source in one batched message (the peer protocol's sparql-batch
 // operation, also served over HTTP). The wire
@@ -49,13 +47,13 @@
 // arrive, and closing a plan early — ASK satisfied, LIMIT reached, a
 // canceled query — closes the remote streams so peers stop scanning.
 // Old peers that only speak the one-shot document interoperate through
-// version negotiation (-fed-oneshot forces that encoding). Federated plans
-// are first-class: EXPLAIN shows per-disjunct mediator plans with
-// RemoteScan leaves in join order, annotated with source fan-out, the
-// bind-or-fetch rule of each step and the in-flight window, and EXPLAIN
-// ANALYZE adds the branch each step took (rpsquery -mode federation
-// -explain / -analyze; tune with -fed-parallel and -fed-batch on rpsd,
-// rpsquery and rpsbench).
+// version negotiation, and a client that cannot stream gets the one-shot
+// wire. Federated plans are first-class: EXPLAIN shows per-disjunct
+// mediator plans with RemoteScan leaves in join order, annotated with
+// source fan-out, the bind-or-fetch rule of each step and the in-flight
+// window, and EXPLAIN ANALYZE adds the branch each step took (rpsquery
+// -mode federation -explain / -analyze; tune the probe batch with
+// -fed-batch on rpsd, rpsquery and rpsbench).
 //
 // Federation is fault-tolerant. Every sub-query runs under a retry policy
 // (FederationOptions.Retry): transient failures — unreachable peers,
@@ -75,8 +73,8 @@
 // "-- partial: …" lines by EXPLAIN ANALYZE and the X-RPS-Partial header by
 // rpsd); without it the query fails closed. The simulated network injects
 // all of these faults (Fail, FailAfter, HealAfter, SetFlaky), rpsd/rpsquery
-// expose the knobs as -fed-retries, -fed-hedge, -fed-partial (and
-// rpsquery -fed-replicas), the federation_retry_*, federation_hedge_* and
+// expose the knobs as -fed-retries and -fed-partial (and rpsquery
+// -fed-hedge and -fed-replicas), the federation_retry_*, federation_hedge_* and
 // federation_breaker_* metric families land at /metrics, and rpsbench's
 // JSON report measures mediator qps and tail latency at 0/10/30% unhealthy
 // peers with hedging off and on.
@@ -422,8 +420,6 @@ type (
 	PeerGroup = federation.PeerGroup
 	// SkippedSource names one source omitted from a partial answer.
 	SkippedSource = federation.SkippedSource
-	// RetryClient wraps any peer query client with bounded retries.
-	RetryClient = peer.RetryClient
 )
 
 // ErrCircuitOpen marks sub-query errors fast-failed by an open circuit
