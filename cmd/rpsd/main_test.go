@@ -112,6 +112,37 @@ func TestFederatedTruncatedHeader(t *testing.T) {
 	}
 }
 
+// /federated answers a query whose rewriting ships a renamed-apart GMA
+// variable (?g<N>·b_y) to the peers: the starring pattern with its artist
+// join absorbed by the Figure 1 mapping's existential.
+func TestFederatedRewritingVariable(t *testing.T) {
+	path, err := mapfile.Save(workload.Figure1System(), workload.FilmNamespaces(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux, _, _, err := buildMux(path, federation.Options{}, opsConfig{}, durableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c := &peer.HTTPClient{Client: srv.Client()}
+	res, err := c.Query(srv.URL+"/federated", `PREFIX ex: <http://example.org/> ASK { ?x ex:starring ?z }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.True {
+		t.Error("ASK { ?x ex:starring ?z } should be true")
+	}
+	res, err = c.Query(srv.URL+"/federated", `PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:starring ?z }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Errorf("federated endpoint returned %d films with a cast, want 3", len(res.Rows))
+	}
+}
+
 func TestFederatedEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	path, err := mapfile.Save(workload.Figure1System(), workload.FilmNamespaces(), dir)

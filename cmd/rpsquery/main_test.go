@@ -55,6 +55,27 @@ func TestModesProduceListing1(t *testing.T) {
 	}
 }
 
+// A query whose rewriting keeps a renamed-apart GMA variable: the starring
+// pattern's artist join is absorbed by the mapping's existential, so the
+// actor disjunct carries ?g<N>·b_y to the peer. Every mode returns the
+// three films with a cast.
+func TestModesAgreeOnRewritingVariable(t *testing.T) {
+	path := figure1OnDisk(t)
+	const query = `PREFIX ex: <http://example.org/>
+SELECT ?x WHERE { ?x ex:starring ?z }`
+	for _, mode := range []string{"chase", "rewrite", "federation"} {
+		var out bytes.Buffer
+		if err := run(&out, path, query, "", mode, false, false, 0, federation.Options{}); err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
+		}
+		got := strings.Fields(out.String())
+		want := []string{"DB1:Spiderman", "DB2:Pleasantville", "DB2:Spiderman2002"}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("mode %s: %q, want %q", mode, got, want)
+		}
+	}
+}
+
 func TestNoRedundancy(t *testing.T) {
 	path := figure1OnDisk(t)
 	var out bytes.Buffer

@@ -7,6 +7,26 @@
 // pattern (via the registry's schema routing), poses sub-queries to the
 // peers' SPARQL services, and joins the sub-query results at the mediator.
 //
+// # Rewrite once per shape
+//
+// The rewriting module runs in front of every query (Answer and Plan
+// alike), but an Engine rewrites each query shape only once: it holds a
+// rewrite.Memo over its system's mappings. Two queries share a shape when
+// they differ only in constants that no GMA and no equivalence mentions —
+// the entity a path starts from, a literal it ends at. The soundness
+// condition is that rewriting is generic in such constants: a piece
+// unifier compares constants only for equality, so renaming one that no
+// mapping mentions commutes with every rewriting step, and the cached
+// rewriting with the placeholders mapped back is the query's own. Adding a
+// mapping moves the system's mapping version and empties the memo.
+// rps_fed_rewrite_memo_total{result="hit"|"miss"} counts how often a shape
+// was known.
+//
+// Sub-queries cross the wire over canonical variable names (?v0 ?v1 … in
+// position order, mapped back when the rows arrive), so the rewriting's
+// renamed-apart variables never reach a peer and alpha-equivalent patterns
+// of different disjuncts share one fetch.
+//
 // The mediator is a concurrent, streaming executor built on the planner's
 // parallel primitives: the UCQ's disjuncts evaluate concurrently through
 // plan.Fanout (the parallel Union pushed below the mediator, so federated
@@ -93,7 +113,9 @@ package federation
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -297,6 +319,9 @@ type Engine struct {
 	// consecutive-failure counts, and whole-call latency EWMAs survive
 	// across query executions, so one query's failures protect the next.
 	health *healthRegistry
+	// memo holds the rewriting of every query shape seen so far (see
+	// rewriteQuery).
+	memo rewrite.Memo
 }
 
 // New creates an engine over a system (the mediator's knowledge of schemas
@@ -342,11 +367,28 @@ func (e *Engine) Answer(q pattern.Query) (*pattern.TupleSet, *Metrics, error) {
 // in-flight fetches are abandoned on cancellation, and the error is
 // ctx.Err() when the deadline cut the evaluation short.
 func (e *Engine) AnswerCtx(ctx context.Context, q pattern.Query) (*pattern.TupleSet, *Metrics, error) {
-	res, err := rewrite.Rewrite(q, e.sys, e.opts.Rewrite)
+	res, err := e.rewriteQuery(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	return e.answerUCQ(ctx, res)
+}
+
+// rewriteQuery is the rewriting module in front of every federated query
+// (AnswerCtx and Plan alike): the engine's shape memo over the system's
+// mappings, so a query whose shape was seen before costs one substitution
+// pass instead of a rewriting run (see the package comment).
+func (e *Engine) rewriteQuery(q pattern.Query) (*rewrite.Result, error) {
+	res, hit, err := e.memo.Rewrite(q, e.sys, e.opts.Rewrite)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		obsMemoHits.Inc()
+	} else {
+		obsMemoMisses.Inc()
+	}
+	return res, nil
 }
 
 // AnswerWithTGDs is Answer with an explicit dependency set (used by the
@@ -429,6 +471,12 @@ var (
 	obsBreakerReject  = obs.Default.Counter("federation_breaker_fastfail_total", "Logical calls failed fast because every replica endpoint was circuit-open")
 	obsPartial        = obs.Default.Counter("federation_partial_answers_total", "Degraded (partial) federated answers returned under Options.Partial")
 	obsSkipped        = obs.Default.Counter("federation_skipped_sources_total", "Sources skipped after exhausting their attempt budget")
+)
+
+// Rewriting-memo outcomes, counted per rewriteQuery call.
+var (
+	obsMemoHits   = obs.Default.Counter(`rps_fed_rewrite_memo_total{result="hit"}`, "Federated rewritings, by whether the query's shape was in the engine's memo")
+	obsMemoMisses = obs.Default.Counter(`rps_fed_rewrite_memo_total{result="miss"}`, "Federated rewritings, by whether the query's shape was in the engine's memo")
 )
 
 func publishMetrics(m *Metrics) {
@@ -565,18 +613,35 @@ func patternIRIs(tp pattern.TriplePattern) []rdf.Term {
 // The restrictions must all bind the same variable set (probe partitions
 // them so — see probe): the batch renders as ONE copy of the pattern
 // joined with a native VALUES block, so the peer evaluates one pattern
-// scan per probe, however many bindings it carries. It returns the
-// projected variable order.
+// scan per probe, however many bindings it carries.
+//
+// The text names the variables canonically, ?v0 ?v1 … in order of first
+// position (S, P, O), and projects them in that order; the returned vars
+// are the pattern's own names in the same order, which is how the caller
+// maps result columns back. Rewriting-internal names (g<N>·v) never reach
+// the wire, and alpha-equivalent patterns of different disjuncts render to
+// one text, so they share one fetch-cache entry (see extension).
 func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding) (string, []string, error) {
-	vars := tp.Vars()
 	for _, e := range tp.Elems() {
 		if !e.IsVar() && e.Term().IsBlank() {
 			return "", nil, fmt.Errorf("federation: blank node constant in query pattern %v", tp)
 		}
 	}
+	var vars, cols []string // the pattern's names and their wire names
+	ren := func(e pattern.Elem) pattern.Elem {
+		if !e.IsVar() {
+			return e
+		}
+		i := slices.Index(vars, e.Var())
+		if i < 0 {
+			i = len(vars)
+			vars, cols = append(vars, e.Var()), append(cols, "v"+strconv.Itoa(i))
+		}
+		return pattern.V(cols[i])
+	}
+	wire := pattern.TP(ren(tp.S), ren(tp.P), ren(tp.O))
 	if len(restrictions) == 0 {
-		pq := pattern.Query{Free: vars, GP: pattern.GraphPattern{tp}}
-		sq := sparql.FromPatternQuery(pq, nil)
+		sq := sparql.FromPatternQuery(pattern.Query{Free: cols, GP: pattern.GraphPattern{wire}}, nil)
 		if len(vars) == 0 {
 			sq.Form = sparql.FormAsk
 		}
@@ -585,11 +650,16 @@ func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding
 	if !pattern.UniformDomain(restrictions) {
 		return "", nil, fmt.Errorf("federation: probe restrictions of %v bind different variables", tp)
 	}
-	names := restrictionDomain(restrictions[0])
+	var bound, names []string
+	for i, v := range vars {
+		if _, ok := restrictions[0][v]; ok {
+			bound, names = append(bound, v), append(names, cols[i])
+		}
+	}
 	rows := make([]pattern.Tuple, len(restrictions))
 	for i, r := range restrictions {
-		row := make(pattern.Tuple, len(names))
-		for j, v := range names {
+		row := make(pattern.Tuple, len(bound))
+		for j, v := range bound {
 			row[j] = r[v]
 		}
 		rows[i] = row
@@ -597,9 +667,9 @@ func renderPatternQuery(tp pattern.TriplePattern, restrictions []pattern.Binding
 	sq := &sparql.Query{
 		Form:     sparql.FormSelect,
 		Distinct: true,
-		Vars:     vars,
+		Vars:     cols,
 		Where: &sparql.Group{
-			BGP:      pattern.GraphPattern{tp},
+			BGP:      pattern.GraphPattern{wire},
 			Children: []sparql.Expr{&sparql.Values{Names: names, Rows: rows}},
 		},
 	}

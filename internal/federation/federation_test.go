@@ -6,6 +6,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/federation"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/peer"
 	"repro/internal/rdf"
@@ -191,5 +192,99 @@ func TestFederatedBooleanQuery(t *testing.T) {
 	// boolean query: one empty tuple means true
 	if got.Len() != 1 {
 		t.Errorf("boolean federated query should hold: %v", got.Sorted())
+	}
+}
+
+// figure1Queries are the queries the E-tables of internal/experiments
+// pose over the Figure 1 system — E1's Example 1 query and E2's boolean
+// query for (DB1:Toby_Maguire, "39") — plus the queries whose rewritings
+// keep a renamed-apart GMA variable (g<N>·b_y) in a body that crosses the
+// wire: Q1's starring pattern with its artist join absorbed by the
+// mapping's existential, as SELECT and as ASK.
+func figure1Queries(t *testing.T) map[string]pattern.Query {
+	t.Helper()
+	q := workload.Example1Query()
+	e2, err := q.Substitute(pattern.Tuple{rdf.IRI(workload.NSDB1 + "Toby_Maguire"), rdf.Literal("39")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2Other, err := q.Substitute(pattern.Tuple{rdf.IRI(workload.NSDB1 + "Toby_Maguire"), rdf.Literal("40")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starring := pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(workload.Starring), pattern.V("z"))}
+	return map[string]pattern.Query{
+		"E1":            q,
+		"E2":            e2,
+		"E2 same shape": e2Other,
+		"starring":      pattern.MustQuery([]string{"x"}, starring),
+		"ASK starring":  {GP: starring},
+	}
+}
+
+// Federation answers every Figure 1 query of the E-tables with the chase's
+// certain answers, on the streamed and the one-shot wire alike. (E1's
+// rewriting has 20 196 disjuncts and takes seconds; one wire is enough for
+// it.)
+func TestFigure1FederationMatchesChase(t *testing.T) {
+	sys := workload.Figure1System()
+	queries := figure1Queries(t)
+	if want := chaseAnswers(t, sys, queries["starring"]); want.Len() != 3 {
+		t.Fatalf("chase: %d answers to the starring query, want 3", want.Len())
+	}
+	for _, oneShot := range []bool{false, true} {
+		eng := deployWireOn(sys, simnet.New(), federation.Options{}, oneShot)
+		for name, q := range queries {
+			if oneShot && name == "E1" {
+				continue
+			}
+			got, m, err := eng.Answer(q)
+			if err != nil {
+				t.Errorf("oneShot=%v %s: %v", oneShot, name, err)
+				continue
+			}
+			if want := chaseAnswers(t, sys, q); m.RewriteTruncated || !got.Equal(want) {
+				t.Errorf("oneShot=%v %s (truncated %v):\n got %v\nwant %v",
+					oneShot, name, m.RewriteTruncated, got.Sorted(), want.Sorted())
+			}
+		}
+	}
+}
+
+// The engine rewrites once per query shape: a second query differing only
+// in a constant no mapping mentions is a memo hit, counted by
+// rps_fed_rewrite_memo_total, and Plan goes through the same memo.
+func TestRewriteMemoHits(t *testing.T) {
+	sys := workload.Figure1System()
+	queries := figure1Queries(t)
+	eng, _ := deploy(sys, federation.Options{})
+	memo := func() (hits, misses float64) {
+		s := obs.Default.Snapshot()
+		return s[`rps_fed_rewrite_memo_total{result="hit"}`], s[`rps_fed_rewrite_memo_total{result="miss"}`]
+	}
+	h0, m0 := memo()
+	_, first, err := eng.Answer(queries["E2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := memo()
+	got, _, err := eng.Answer(queries["E2 same shape"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 0 {
+		t.Errorf("Toby Maguire is not 40: %v", got.Sorted())
+	}
+	p, err := eng.Plan(queries["E2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, m2 := memo()
+	if m1-m0 != 1 || h1 != h0 || h2-h1 != 2 || m2 != m1 {
+		t.Errorf("memo counters moved hits %v→%v→%v, misses %v→%v→%v; want one miss, then two hits",
+			h0, h1, h2, m0, m1, m2)
+	}
+	if p.Rewriting.Size() != first.Disjuncts {
+		t.Errorf("Plan rewrote into %d disjuncts, Answer into %d", p.Rewriting.Size(), first.Disjuncts)
 	}
 }

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,8 +58,37 @@ type fetcher struct {
 // closes done; every later arrival waits on done and shares the result.
 type fetchEntry struct {
 	done chan struct{}
+	extension
+	err error
+}
+
+// extension is a fetched sub-query result as the fetch caches hold it: rows
+// over the variable names of the pattern that led the fetch, listed in the
+// sub-query's canonical column order (renderPatternQuery). Alpha-equivalent
+// patterns render to one query text and so share the entry; each reads the
+// rows under its own names through as.
+type extension struct {
+	vars []string
 	rows []pattern.Binding
-	err  error
+}
+
+// as returns the rows over vars, which name the same columns as x.vars in
+// the same order. Rows come back shared when the names agree — the usual
+// case, a disjunct reusing the query's own variables — and relabelled
+// copies otherwise.
+func (x extension) as(vars []string) []pattern.Binding {
+	if slices.Equal(x.vars, vars) {
+		return x.rows
+	}
+	out := make([]pattern.Binding, len(x.rows))
+	for i, mu := range x.rows {
+		r := make(pattern.Binding, len(vars))
+		for j, v := range x.vars {
+			r[vars[j]] = mu[v]
+		}
+		out[i] = r
+	}
+	return out
 }
 
 func newFetcher(e *Engine) *fetcher {
@@ -229,26 +259,26 @@ func (f *fetcher) acquire(addr string) func() {
 	}
 }
 
-// cached returns the rows for key, computing them at most once across all
-// concurrent callers: the first caller runs compute, everyone else waits
-// and shares (and counts a cache hit, whether the entry was done or still
-// in flight). Failures do not stick: a failed flight is removed from the
-// cache before its waiters are released, so callers arriving after the
-// failure lead a fresh attempt instead of inheriting a stale error —
-// already-parked waiters still share the failure (they collapsed onto that
-// flight while it was the live one).
-func (f *fetcher) cached(key string, compute func() ([]pattern.Binding, error)) ([]pattern.Binding, error) {
+// cached returns the rows for key over vars, computing them at most once
+// across all concurrent callers: the first caller runs compute (which
+// returns rows over vars), everyone else waits and shares (and counts a
+// cache hit, whether the entry was done or still in flight). Failures do
+// not stick: a failed flight is removed from the cache before its waiters
+// are released, so callers arriving after the failure lead a fresh attempt
+// instead of inheriting a stale error — already-parked waiters still share
+// the failure (they collapsed onto that flight while it was the live one).
+func (f *fetcher) cached(key string, vars []string, compute func() ([]pattern.Binding, error)) ([]pattern.Binding, error) {
 	f.mu.Lock()
 	if ent, ok := f.cache[key]; ok {
 		f.cacheHits++
 		f.mu.Unlock()
 		<-ent.done
-		return ent.rows, ent.err
+		return ent.as(vars), ent.err
 	}
-	ent := &fetchEntry{done: make(chan struct{})}
+	ent := &fetchEntry{done: make(chan struct{}), extension: extension{vars: vars}}
 	f.cache[key] = ent
 	f.mu.Unlock()
-	ent.rows, ent.err = f.sharedCached(key, compute)
+	ent.rows, ent.err = f.sharedCached(key, vars, compute)
 	if ent.err != nil {
 		f.mu.Lock()
 		if f.cache[key] == ent {
@@ -264,7 +294,7 @@ func (f *fetcher) cached(key string, compute func() ([]pattern.Binding, error)) 
 // fetch, so identical sub-queries recur for free across query executions
 // until some peer's epoch moves. Without a shared cache (or without an
 // epoch vector) it degrades to the plain compute.
-func (f *fetcher) sharedCached(key string, compute func() ([]pattern.Binding, error)) ([]pattern.Binding, error) {
+func (f *fetcher) sharedCached(key string, vars []string, compute func() ([]pattern.Binding, error)) ([]pattern.Binding, error) {
 	l := f.eng.acache
 	if l == nil || f.epochs == nil {
 		return compute()
@@ -278,12 +308,11 @@ func (f *fetcher) sharedCached(key string, compute func() ([]pattern.Binding, er
 			f.mu.Lock()
 			f.cacheHits++
 			f.mu.Unlock()
-			rows, _ := v.([]pattern.Binding)
-			return rows, nil
+			return v.(extension).as(vars), nil
 		}
 		rows, err := compute()
 		if err == nil && !f.anySkipped() {
-			l.Put(key, f.epochs, rows, bindingsBytes(rows))
+			l.Put(key, f.epochs, extension{vars, rows}, bindingsBytes(rows))
 		}
 		return rows, err
 	}
@@ -292,7 +321,7 @@ func (f *fetcher) sharedCached(key string, compute func() ([]pattern.Binding, er
 		if err != nil {
 			return nil, 0, err
 		}
-		return rows, bindingsBytes(rows), nil
+		return extension{vars, rows}, bindingsBytes(rows), nil
 	})
 	if err != nil {
 		if shared {
@@ -307,8 +336,7 @@ func (f *fetcher) sharedCached(key string, compute func() ([]pattern.Binding, er
 		f.cacheHits++
 		f.mu.Unlock()
 	}
-	rows, _ := v.([]pattern.Binding)
-	return rows, nil
+	return v.(extension).as(vars), nil
 }
 
 // bindingsBytes estimates the resident cost of a fetched extension: one
@@ -474,7 +502,7 @@ func (f *fetcher) fetchPattern(ctx context.Context, tp pattern.TriplePattern) ([
 	if err != nil {
 		return nil, err
 	}
-	return f.cached(queryText, func() ([]pattern.Binding, error) {
+	return f.cached(queryText, vars, func() ([]pattern.Binding, error) {
 		return f.fetchMerged(ctx, f.eng.reg.SelectSources(patternIRIs(tp)), queryText, vars, 0)
 	})
 }
@@ -586,7 +614,7 @@ func (f *fetcher) probeChunk(ctx context.Context, tp pattern.TriplePattern, rest
 	if err != nil {
 		return nil, err
 	}
-	return f.cached(queryText, func() ([]pattern.Binding, error) {
+	return f.cached(queryText, vars, func() ([]pattern.Binding, error) {
 		return f.fetchMerged(ctx, f.probeSources(tp, restrictions), queryText, vars, len(restrictions))
 	})
 }
@@ -654,7 +682,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 		if shared != nil {
 			if v, ok := shared.Get(text, f.epochs); ok {
 				wants[i].hit = true
-				wants[i].rows, _ = v.([]pattern.Binding)
+				wants[i].rows = v.(extension).as(vars)
 			}
 		}
 	}
@@ -676,7 +704,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 			}
 			continue
 		}
-		w.entry = &fetchEntry{done: make(chan struct{})}
+		w.entry = &fetchEntry{done: make(chan struct{}), extension: extension{vars: w.vars}}
 		f.cache[w.text] = w.entry
 		jobs = append(jobs, &job{tp: gp[i], text: w.text, vars: w.vars, entry: w.entry})
 	}
@@ -755,7 +783,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 		if j.entry.err = j.err; j.err == nil {
 			j.entry.rows = mergeBindings(j.perSrc, j.vars)
 			if shared != nil && !anySkipped {
-				shared.Put(j.text, f.epochs, j.entry.rows, bindingsBytes(j.entry.rows))
+				shared.Put(j.text, f.epochs, j.entry.extension, bindingsBytes(j.entry.rows))
 			}
 		} else {
 			f.mu.Lock()
@@ -776,7 +804,7 @@ func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) 
 			if w.entry.err != nil {
 				return nil, w.entry.err
 			}
-			out[i] = w.entry.rows
+			out[i] = w.entry.as(w.vars)
 		}
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/pattern"
@@ -65,5 +66,40 @@ func TestJoinOrderConnected(t *testing.T) {
 				bound[v] = true
 			}
 		}
+	}
+}
+
+// renderPatternQuery names variables canonically: ?v0 ?v1 … by first
+// position. Rewriting-internal names (g<N>·b_y) never reach the text, and
+// alpha-equivalent patterns — extension fetches and VALUES probes alike —
+// render to one text, whose result each reads under its own names.
+func TestRenderCanonicalNames(t *testing.T) {
+	p, o := pattern.C(rdf.IRI("http://e/p")), rdf.IRI("http://e/o")
+	a := pattern.TP(pattern.V("g7·b_y"), p, pattern.V("x"))
+	b := pattern.TP(pattern.V("s"), p, pattern.V("g2·z"))
+	textA, varsA, err := renderPatternQuery(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	textB, varsB, _ := renderPatternQuery(b, nil)
+	if textA != textB || textA != "SELECT ?v0 ?v1 WHERE { ?v0 <http://e/p> ?v1 }" {
+		t.Errorf("texts differ or are not canonical:\n%s\n%s", textA, textB)
+	}
+	if fmt.Sprint(varsA, varsB) != "[g7·b_y x] [s g2·z]" {
+		t.Errorf("vars = %v %v, want each pattern's own names by position", varsA, varsB)
+	}
+	probeA, _, _ := renderPatternQuery(a, []pattern.Binding{{"x": o}})
+	probeB, _, _ := renderPatternQuery(b, []pattern.Binding{{"g2·z": o}})
+	if probeA != probeB || strings.Contains(probeA, "·") {
+		t.Errorf("probe texts differ or leak a rewriting name:\n%s\n%s", probeA, probeB)
+	}
+
+	rows := extension{vars: varsA, rows: []pattern.Binding{{"g7·b_y": rdf.IRI("http://e/s1"), "x": o}}}
+	if got := rows.as(varsA); &got[0] != &rows.rows[0] {
+		t.Error("the leader's own names must read the cached rows without a copy")
+	}
+	got := rows.as(varsB)
+	if len(got) != 1 || got[0]["s"] != rdf.IRI("http://e/s1") || got[0]["g2·z"] != o || len(got[0]) != 2 {
+		t.Errorf("relabelled rows = %v", got)
 	}
 }

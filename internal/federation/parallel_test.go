@@ -118,8 +118,10 @@ func TestFederationDeterministic(t *testing.T) {
 }
 
 // randomFederationCase builds a small random RDF Peer System — random peer
-// partitions of the data, random rename mappings between peers, an optional
-// equivalence — and a random 1–3 pattern query (a scan, a 2-hop path, or a
+// partitions of the data, random mappings between peers (renames, and
+// GMAs whose target joins two patterns through an existential variable, as
+// Figure 1's does), an optional equivalence — and a random 1–3 pattern
+// query (a scan with or without a non-answer variable, a 2-hop path, or a
 // 2- or 3-hop path anchored at a constant, so both the up-front extension
 // path and the step-by-step path are drawn), all over a shared constant
 // pool. Every predicate is seeded at every peer so mapping vocabulary
@@ -158,11 +160,20 @@ func randomFederationCase(t *testing.T, rng *rand.Rand) (*core.System, pattern.Q
 		}
 	}
 	for n := 1 + rng.Intn(3); n > 0; n-- {
+		x, y, z := pattern.V("x"), pattern.V("y"), pattern.V("z")
+		target := pattern.GraphPattern{pattern.TP(x, pattern.C(preds[rng.Intn(len(preds))]), y)}
+		if rng.Intn(3) == 0 {
+			// Figure 1's shape: the target joins two patterns through an
+			// existential variable, which the rewriting renames apart
+			target = pattern.GraphPattern{
+				pattern.TP(x, pattern.C(preds[rng.Intn(len(preds))]), z),
+				pattern.TP(z, pattern.C(preds[rng.Intn(len(preds))]), y),
+			}
+		}
 		m := core.GraphMappingAssertion{
 			From: pattern.MustQuery([]string{"x", "y"},
-				pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(preds[rng.Intn(len(preds))]), pattern.V("y"))}),
-			To: pattern.MustQuery([]string{"x", "y"},
-				pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(preds[rng.Intn(len(preds))]), pattern.V("y"))}),
+				pattern.GraphPattern{pattern.TP(x, pattern.C(preds[rng.Intn(len(preds))]), y)}),
+			To:      pattern.MustQuery([]string{"x", "y"}, target),
 			SrcPeer: names[rng.Intn(npeers)],
 			DstPeer: names[rng.Intn(npeers)],
 		}
@@ -177,10 +188,14 @@ func randomFederationCase(t *testing.T, rng *rand.Rand) (*core.System, pattern.Q
 	}
 	pred := func() pattern.Elem { return pattern.C(preds[rng.Intn(len(preds))]) }
 	var q pattern.Query
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		q = pattern.MustQuery([]string{"x", "y"},
 			pattern.GraphPattern{pattern.TP(pattern.V("x"), pred(), pattern.V("y"))})
+	case 4:
+		// a non-answer variable an existential of a target can absorb
+		q = pattern.MustQuery([]string{"x"},
+			pattern.GraphPattern{pattern.TP(pattern.V("x"), pred(), pattern.V("z"))})
 	case 1:
 		q = pattern.MustQuery([]string{"x", "z"}, pattern.GraphPattern{
 			pattern.TP(pattern.V("x"), pred(), pattern.V("y")),

@@ -44,7 +44,7 @@ func (p *PlannedQuery) Explain() string {
 // bind-or-fetch rule of a step (bind<=N batch=B), in-flight window —
 // describe how the executor crosses the network.
 func (e *Engine) Plan(q pattern.Query) (*PlannedQuery, error) {
-	res, err := rewrite.Rewrite(q, e.sys, e.opts.Rewrite)
+	res, err := e.rewriteQuery(q)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func TestSingleflightFreshAttemptAfterFailure(t *testing.T) {
 	release := make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := f.cached("k", func() ([]pattern.Binding, error) {
+		_, err := f.cached("k", []string{"x"}, func() ([]pattern.Binding, error) {
 			close(started)
 			<-release
 			return nil, boom
@@ -32,7 +32,7 @@ func TestSingleflightFreshAttemptAfterFailure(t *testing.T) {
 	// a waiter that collapses onto the live flight shares the failure
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := f.cached("k", func() ([]pattern.Binding, error) {
+		_, err := f.cached("k", []string{"x"}, func() ([]pattern.Binding, error) {
 			t.Error("parked waiter must not recompute")
 			return nil, nil
 		})
@@ -56,7 +56,7 @@ func TestSingleflightFreshAttemptAfterFailure(t *testing.T) {
 	}
 
 	// a caller arriving after the failure leads a fresh attempt
-	rows, err := f.cached("k", func() ([]pattern.Binding, error) {
+	rows, err := f.cached("k", []string{"x"}, func() ([]pattern.Binding, error) {
 		return []pattern.Binding{{"x": {}}}, nil
 	})
 	if err != nil {

@@ -50,8 +50,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 			f.mu.Lock()
 			f.cacheHits++
 			f.mu.Unlock()
-			rows, _ := v.([]pattern.Binding)
-			return replay(rows)
+			return replay(v.(extension).as(vars))
 		}
 	}
 	candidates := f.eng.reg.SelectSources(patternIRIs(tp))
@@ -77,7 +76,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 	it.publish = func(rows []pattern.Binding) {
 		// publish only a complete, non-degraded drain
 		if l := f.eng.acache; l != nil && f.epochs != nil && f.Err() == nil && !f.anySkipped() {
-			l.Put(queryText, f.epochs, rows, bindingsBytes(rows))
+			l.Put(queryText, f.epochs, extension{vars, rows}, bindingsBytes(rows))
 		}
 	}
 	return it

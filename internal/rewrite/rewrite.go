@@ -16,11 +16,30 @@
 // As the paper notes before Proposition 3, the rt(x) atoms of the encoding
 // can be dropped for rewriting purposes (every constant of the stored
 // database is an identified resource), so the engine works on tt atoms —
-// i.e. directly on triple patterns.
+// i.e. directly on triple patterns. What the atoms still say is kept as a
+// mark: a variable a rewriting step introduces from a GMA body's answer
+// positions (TripleTGD.Resources) is a resource variable, and no later
+// step may unify it with an existential variable — a labelled null is not
+// a resource, so that step would chain two GMAs through a null the chase
+// never lets the second one fire on.
 //
 // For non-FO-rewritable sets (Proposition 3), rewriting does not saturate;
 // Options.MaxDepth bounds the expansion and the Result reports truncation,
 // which the E5 experiment uses to exhibit the unbounded growth.
+//
+// # Rewriting once per shape
+//
+// A Memo rewrites each query shape once. The shape is the query with every
+// IRI or literal constant that no mapping mentions replaced by a
+// placeholder, equal constants by equal placeholders. A later query of a
+// known shape costs one substitution pass over the cached disjuncts instead
+// of a rewriting run. The soundness condition is that the rewriting never
+// looks inside a constant: piece unifiers only test constants for
+// equality, with one another and with the constants of the TGDs. So an
+// injective renaming of constants that no TGD mentions commutes with every
+// rewriting step. The constants the system's GMAs and equivalences do
+// mention stay in the shape verbatim, and the memo starts over whenever a
+// mapping is added.
 package rewrite
 
 import (
@@ -229,6 +248,10 @@ type TripleTGD struct {
 	Body  pattern.GraphPattern
 	Head  pattern.GraphPattern
 	Label string
+	// Resources lists the body variables the encoding guards with rt
+	// atoms — a GMA's answer variables: they bind only to resources,
+	// never to labelled nulls.
+	Resources []string
 }
 
 // ExistentialVars returns head variables that do not occur in the body.
@@ -309,7 +332,7 @@ func GMATGD(m core.GraphMappingAssertion) TripleTGD {
 	if label == "" {
 		label = "gma"
 	}
-	return TripleTGD{Body: from.GP, Head: head, Label: label}
+	return TripleTGD{Body: from.GP, Head: head, Label: label, Resources: from.Free}
 }
 
 // EquivalenceTGDs returns the six linear copy TGDs for c ≡ₑ c′.
@@ -330,10 +353,13 @@ func EquivalenceTGDs(e core.EquivalenceMapping) []TripleTGD {
 }
 
 // cq is the internal conjunctive-query representation during rewriting.
+// resources marks the variables that came from a GMA body's answer
+// positions (see the package comment).
 type cq struct {
-	free  []string
-	bound map[string]rdf.Term
-	atoms pattern.GraphPattern
+	free      []string
+	bound     map[string]rdf.Term
+	atoms     pattern.GraphPattern
+	resources map[string]bool
 }
 
 func (q cq) toDisjunct() Disjunct {
@@ -476,7 +502,7 @@ func rewriteStep(cur cq, s TripleTGD, serial int) []cq {
 			}
 			if allowed {
 				if u := tryUnify(cur, idxs, assign, head, exist, free, tgdVars); u != nil {
-					rw, ok := buildRewriting(cur, mask, body, u, free)
+					rw, ok := buildRewriting(cur, mask, body, prefix, s.Resources, u, free)
 					// subsumption pruning: a candidate subsumed by its
 					// parent contributes no answers and (by the cover
 					// property of piece rewriting) no unique rewritings
@@ -579,8 +605,9 @@ func homMatchAtom(ga, sa pattern.TriplePattern, h map[string]pattern.Elem) (map[
 }
 
 // buildRewriting assembles u(body) ∪ u(q \ S), tracking answer variables
-// that the unifier equates with constants.
-func buildRewriting(cur cq, mask int, body pattern.GraphPattern, u unifier, free map[string]bool) (cq, bool) {
+// that the unifier equates with constants and the resource variables —
+// cur's and the TGD's, renamed apart with prefix — under u.
+func buildRewriting(cur cq, mask int, body pattern.GraphPattern, prefix string, resources []string, u unifier, free map[string]bool) (cq, bool) {
 	rest := complementAtoms(cur.atoms, mask)
 	newAtoms := dedupAtoms(applyGPSubst(append(append(pattern.GraphPattern{}, body...), rest...), u))
 	newBound := make(map[string]rdf.Term, len(cur.bound))
@@ -605,7 +632,22 @@ func buildRewriting(cur cq, mask int, body pattern.GraphPattern, u unifier, free
 	if len(newBound) == 0 {
 		newBound = nil
 	}
-	return cq{free: newFree, bound: newBound, atoms: newAtoms}, true
+	var newResources map[string]bool
+	mark := func(v string) { // answer variables are never erased anyway
+		if rep := u.apply(pattern.V(v)); rep.IsVar() && !free[rep.Var()] {
+			if newResources == nil {
+				newResources = make(map[string]bool)
+			}
+			newResources[rep.Var()] = true
+		}
+	}
+	for v := range cur.resources {
+		mark(v)
+	}
+	for _, v := range resources {
+		mark(prefix + v)
+	}
+	return cq{free: newFree, bound: newBound, atoms: newAtoms, resources: newResources}, true
 }
 
 // unifier maps a term-key to its class representative element.
@@ -655,6 +697,9 @@ func tryUnify(cur cq, idxs []int, assign []int, head pattern.GraphPattern, exist
 			}
 			if free[v] {
 				return nil // answer variables cannot be erased
+			}
+			if cur.resources[v] {
+				return nil // a resource variable cannot be a labelled null
 			}
 			// v must not occur in atoms outside S
 			for qi, a := range cur.atoms {
@@ -914,6 +959,18 @@ func canonicalKey(q cq) string {
 		b.WriteByte(' ')
 		b.WriteString(renderFinal(tp.O))
 		b.WriteByte('.')
+	}
+	// resource marks restrict later steps, so a marked copy of a body is
+	// a different rewriting from an unmarked one
+	var marked []string
+	for v := range q.resources {
+		if n, ok := names[v]; ok {
+			marked = append(marked, n)
+		}
+	}
+	if len(marked) > 0 {
+		sort.Strings(marked)
+		b.WriteString("|" + strings.Join(marked, ","))
 	}
 	return b.String()
 }

@@ -9,7 +9,7 @@ import "testing"
 // namespace table is dropped before serialising, so every IRI is written
 // in full, as the mediator writes it. The seed corpus under testdata holds
 // a VALUES probe with UNDEF, FILTER, OPTIONAL, UNION, PREFIX with LIMIT,
-// and ASK.
+// ASK, and a rewriting variable (?g1·z) that exercises VARNAME's U+00B7.
 func FuzzSPARQLRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := Parse(text, nil)

@@ -197,7 +197,7 @@ func (l *lexer) next() (tok, error) {
 	case r == '?' || r == '$':
 		l.advance()
 		var b strings.Builder
-		for isNameChar(l.peek()) {
+		for isNameChar(l.peek()) || (b.Len() > 0 && isVarNameTail(l.peek())) {
 			b.WriteRune(l.advance())
 		}
 		if b.Len() == 0 {
@@ -296,4 +296,11 @@ func (l *lexer) next() (tok, error) {
 
 func isNameChar(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// isVarNameTail reports the characters SPARQL 1.1's VARNAME admits after
+// the first one beyond isNameChar's: U+00B7, the combining diacriticals
+// U+0300–U+036F and the tie characters U+203F–U+2040.
+func isVarNameTail(r rune) bool {
+	return r == 0x00B7 || (r >= 0x0300 && r <= 0x036F) || r == 0x203F || r == 0x2040
 }

@@ -42,6 +42,22 @@ SELECT ?x ?y WHERE { e:spiderman e:starring ?z . ?z e:artist ?x . ?x e:age ?y }`
 	}
 }
 
+// SPARQL 1.1's VARNAME admits U+00B7, U+0300–U+036F and U+203F–U+2040
+// after the first character; the rewriting names its renamed-apart TGD
+// variables g<N>·v, so such a name must survive the lexer.
+func TestVarNameTailCharacters(t *testing.T) {
+	for _, name := range []string{"g1·z", "a\u0301b", "x‿y", "x⁀"} {
+		q, err := Parse("SELECT ?"+name+" WHERE { ?"+name+" <http://e/p> ?o }", nil)
+		if err != nil {
+			t.Errorf("?%s: %v", name, err)
+			continue
+		}
+		if len(q.Vars) != 1 || q.Vars[0] != name {
+			t.Errorf("?%s: Vars = %q", name, q.Vars)
+		}
+	}
+}
+
 func TestEvalSelect(t *testing.T) {
 	q := MustParse(`
 PREFIX e: <http://e/>
@@ -208,6 +224,7 @@ func TestParseErrors(t *testing.T) {
 		`ASK { ?x ?p ?o`,                                // unterminated group
 		`SELECT ?x WHERE { ?x ?p ?o } trailing`,         // trailing tokens
 		`SELECT ?x WHERE { ?x ?p ?o . FILTER(?x < 3) }`, // unsupported operator
+		`SELECT ?·x WHERE { ?·x ?p ?o }`,                // U+00B7 cannot start a VARNAME
 	}
 	for _, in := range bad {
 		if _, err := Parse(in, rdf.CommonNamespaces()); err == nil {
