@@ -125,7 +125,7 @@ func runFedStreamingBenchmark(quick bool) (*fedStreamingResult, error) {
 
 // oneShotClient hides peer.Client's QueryStream, so a mediator over it
 // takes the one-shot wire: every sub-query result crosses as one document.
-type oneShotClient struct{ federation.BatchClient }
+type oneShotClient struct{ federation.Client }
 
 // mediatorClient is the mediator's simnet client, streaming or one-shot.
 func mediatorClient(net *simnet.Network, oneShot bool) federation.Client {

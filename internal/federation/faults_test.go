@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/peer"
+	"repro/internal/plan"
 	"repro/internal/qcache"
 	"repro/internal/rewrite"
 	"repro/internal/simnet"
@@ -227,6 +229,18 @@ func TestRetryErrorDeterministic(t *testing.T) {
 			t.Fatalf("run %d: error drifted:\n got %v\nwant %s", run, err, first)
 		}
 	}
+	// the plan's streamed leaves record errors as they arrive; the rule
+	// still keeps the lowest disjunct's
+	for run := 0; run < 5; run++ {
+		pq, err := eng.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Drain(pq.Root.Open(context.Background(), nil))
+		if err := pq.Err(); err == nil || err.Error() != first {
+			t.Fatalf("plan run %d: error drifted:\n got %v\nwant %s", run, err, first)
+		}
+	}
 }
 
 // Hedged requests: slow primaries, fast replicas — the hedge fires after
@@ -252,6 +266,41 @@ func TestHedgedRequests(t *testing.T) {
 	}
 	if m.Hedges == 0 || m.HedgeWins == 0 {
 		t.Fatalf("metrics = hedges=%d wins=%d, want the fast replicas to win hedges", m.Hedges, m.HedgeWins)
+	}
+}
+
+// Draining the hedged plan: its streamed leaves pump rows from the primary
+// and, once the hedge fires, from a replica; the loser's pump may still be
+// sending when the winner's call returns, and the leaf's channel must stay
+// open until it stops.
+func TestHedgedStreamedPlan(t *testing.T) {
+	sys, q := renameFanSystem(t, 3, 5)
+	want := chaseAnswers(t, sys, q)
+	net := simnet.New(simnet.WithRealDelay())
+	eng := deployReplicatedOn(sys, net, 2, federation.Options{
+		Hedge:      true,
+		HedgeAfter: 2 * time.Millisecond,
+	})
+	for i := 0; i < 3; i++ {
+		net.SetNodeLatency(fmt.Sprintf("peer:peer%d", i), 40*time.Millisecond, 0)
+	}
+	pq, err := eng.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := plan.Drain(pq.Root.Open(context.Background(), nil))
+	if err := pq.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got := pattern.NewTupleSet()
+	for _, mu := range rows {
+		got.Add(pattern.Tuple{mu["x"], mu["y"]})
+	}
+	if !got.Equal(want) {
+		t.Fatalf("hedged plan answers diverge:\n got %v\nwant %v", got.Sorted(), want.Sorted())
+	}
+	if m := pq.Metrics(); m.Hedges == 0 {
+		t.Fatalf("metrics = %+v, want hedges launched", m)
 	}
 }
 

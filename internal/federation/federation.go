@@ -27,65 +27,70 @@
 // renamed-apart variables never reach a peer and alpha-equivalent patterns
 // of different disjuncts share one fetch.
 //
-// The mediator is a concurrent, streaming executor built on the planner's
-// parallel primitives: the UCQ's disjuncts evaluate concurrently through
-// plan.Fanout (the parallel Union pushed below the mediator, so federated
-// disjuncts overlap network latency instead of paying it serially), every
+// The federated query module is one executor: Engine.Plan builds the
+// rewriting's plan and AnswerCtx drains it, so EXPLAIN ANALYZE shows
+// exactly what a federated answer ran. The plan is a parallel Union over
+// per-disjunct mediator plans (plan.Fanout runs the branches, so federated
+// disjuncts overlap network latency instead of paying it serially); every
 // remote fetch goes through a shared, concurrency-safe result cache that
 // deduplicates identical sub-queries across disjuncts (including in-flight
 // ones, singleflight-style), and per-peer in-flight windows bound how many
 // requests one peer sees at a time.
 //
-// Every disjunct runs through one evaluator. joinOrder follows the body's
-// join graph: start at the pattern with the fewest variables, then always
-// take a pattern sharing a variable with what is already bound, opening a
-// new component — a true cross product — only when nothing connected
-// remains. fetcher.joinStep then decides, from the bindings accumulated so
-// far, what crosses the network: when their distinct restrictions to the
-// next pattern fit in one probe wave (batch size × in-flight window,
-// DefaultBindLimit at the defaults) they ship source-ward as native VALUES
-// blocks joined against a single copy of the pattern — one pattern scan per
-// probe at the peer, however many bindings it carries — and only the
-// compatible fragment comes back; otherwise, or when some binding restricts
-// nothing (a blank node, a disconnected pattern), the pattern's whole
-// extension does. The sides hash-join at the mediator on the smaller input;
+// A disjunct's plan stands its plan.RemoteScan leaves in joinOrder's
+// order, which follows the body's join graph: start at the pattern with the
+// fewest variables, then always take a pattern sharing a variable with
+// what is already bound, opening a new component — a true cross product —
+// only when nothing connected remains. Each plan.RemoteJoin step then asks
+// fetcher.joinStep, with the rows accumulated so far, what crosses the
+// network: when their distinct restrictions to the next pattern fit in one
+// probe wave (batch size × in-flight window, DefaultBindLimit at the
+// defaults) they ship source-ward as native VALUES blocks joined against a
+// single copy of the pattern — one pattern scan per probe at the peer,
+// however many bindings it carries — and only the compatible fragment
+// comes back; otherwise, or when some binding restricts nothing (a blank
+// node, a disconnected pattern), the pattern's whole extension does. The
+// sides hash-join at the mediator on the smaller input;
 // Metrics.BindSteps / ExtensionSteps count the branches. A body with no
 // subject or object constant fetches at least two extensions whatever the
-// order, so it fetches them all up front, those routed to one source in
-// one batched message (peer.MsgSPARQLBatch), and joins in the same order.
+// order, so its leaves fetch them all concurrently when the disjunct opens
+// and hash-join them in the same order. The disjunct's answer tail —
+// rewrite.Disjunct.AnswerNode — splices in constant answer variables and
+// keeps the certain answers.
 //
 // # Streaming
 //
 // When the client can stream (StreamClient — peer.Client and
 // peer.HTTPClient both can), sub-query results cross the wire as chunked
-// streams instead of one-shot documents: extension fetches hand rows to
-// downstream joins as chunks arrive (plan.RemoteScan.FetchStream), ASK
-// probes stop the peer's scan at the first row, and canceling the query —
-// or losing a hedged race — closes the stream so the peer abandons the
-// rest of the scan. A stream that dies mid-flight is a transient error
-// like any other: the retry loop restarts the fetch from scratch (results
-// are deduplicated, so a restart never duplicates rows). A client without
-// QueryStream gets the one-shot wire: every sub-query result arrives as
-// one document, fully materialised at the peer.
+// streams instead of one-shot documents: a fetch opens the stream and
+// drains it inside its retry attempt, ASK probes stop the peer's scan at
+// the first row, and canceling the query — or losing a hedged race —
+// closes the stream so the peer abandons the rest of the scan. A stream
+// that dies mid-flight is a transient error like any other: the retry
+// loop restarts the fetch from scratch. A client without QueryStream gets
+// the one-shot wire: every sub-query result arrives as one document, fully
+// materialised at the peer.
 //
-// Engine.Plan exposes the federated side as first-class plan operators:
-// per-disjunct mediator plans whose plan.RemoteScan leaves stand in
-// joinOrder's order, folded by plan.RemoteJoin steps bound to the same
-// fetcher.joinStep, under a parallel Union — both executable and
-// EXPLAINable (rpsquery -mode federation -explain / -analyze).
+// AnswerCtx drains everything, so its leaves fetch whole results through
+// the shared cache. A plan from Engine.Plan, whose consumer may stop early,
+// streams instead: leaves that fetch whole extensions hand rows to the
+// joins as chunks arrive (plan.RemoteScan.FetchStream), and the disjunct
+// Union merges rows as branches produce them, so closing the plan iterator
+// reaches into the remote scans (rpsquery -mode federation -explain /
+// -analyze renders the plan).
 //
 // # Fault tolerance
 //
 // The mediator does not assume every peer answers every sub-query. Every
-// peer call — extension fetch, probe batch, batched protocol
-// message — runs under a retry loop (Options.Retry): transient failures
-// (unreachable nodes, mid-stream death, transport errors, HTTP 5xx,
-// per-attempt deadlines — peer.Retryable) are retried with doubling,
-// jittered backoff, while terminal failures (malformed queries, HTTP 4xx,
-// cancellation) return immediately. Each registry entry is treated as a
-// replica set (PeerGroup: the primary address plus Entry.Replicas), and
-// attempts after a failure prefer endpoints not yet tried, so a dead
-// primary fails over to its replicas within one logical call.
+// peer call — extension fetch or probe batch — runs under a retry loop
+// (Options.Retry): transient failures (unreachable nodes, mid-stream
+// death, transport errors, HTTP 5xx, per-attempt deadlines —
+// peer.Retryable) are retried with doubling, jittered backoff, while
+// terminal failures (malformed queries, HTTP 4xx, cancellation) return
+// immediately. Each registry entry is treated as a replica set (PeerGroup:
+// the primary address plus Entry.Replicas), and attempts after a failure
+// prefer endpoints not yet tried, so a dead primary fails over to its
+// replicas within one logical call.
 //
 // Endpoint health is tracked for the lifetime of the engine: consecutive
 // transient failures open a per-endpoint circuit breaker
@@ -212,12 +217,11 @@ type Metrics struct {
 	Disjuncts int
 	// RewriteTruncated reports an incomplete (bounded) rewriting.
 	RewriteTruncated bool
-	// RemoteCalls counts messages sent to peers (a batched message carrying
-	// several sub-queries or bindings counts once — it costs one round
-	// trip).
+	// RemoteCalls counts sub-queries sent to peers (a probe carrying
+	// several bindings counts once — it costs one round trip, and a
+	// streamed result one however many chunks it took).
 	RemoteCalls int
-	// Batches counts the batched messages among RemoteCalls: multi-binding
-	// probe queries and multi-query messages.
+	// Batches counts the multi-binding probe queries among RemoteCalls.
 	Batches int
 	// RowsFetched counts result rows shipped back from peers.
 	RowsFetched int
@@ -280,27 +284,20 @@ func (m *Metrics) PartialSummary() []string {
 
 // Client abstracts how the mediator reaches a peer's SPARQL service: the
 // simulated network client (peer.Client), the HTTP client (peer.HTTPClient)
-// or anything else that can answer a query at an address. Every request
-// carries the mediator's per-query context, so sub-queries of a canceled
-// federated query are abandoned at the transport.
+// or anything else that can answer a query at an address with one result
+// document — the one-shot wire. Every request carries the mediator's
+// per-query context, so sub-queries of a canceled federated query are
+// abandoned at the transport.
 type Client interface {
 	QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error)
 }
 
-// BatchClient is a Client that can additionally ship several query texts in
-// one message (peer.Client and peer.HTTPClient both can). The mediator uses
-// it to collapse the per-source extension fetches of an unanchored body
-// into one round trip; plain Clients degrade to one message per query.
-type BatchClient interface {
-	Client
-	QueryBatch(ctx context.Context, addr string, queries []string) ([]*sparql.Result, error)
-}
-
 // StreamClient is a Client that can open a sub-query as a chunked result
 // stream (peer.Client and peer.HTTPClient both can). The mediator prefers
-// it when present: rows reach the joins as chunks arrive, and closing the
-// stream early stops the peer-side scan. A client without it gets the
-// one-shot wire.
+// it when present: every fetch crosses the wire as a stream — an ASK
+// probe stops the peer's scan at its first row, an abandoned fetch closes
+// the stream mid-scan — and the streamed leaves of Engine.Plan hand rows
+// to the joins as chunks arrive.
 type StreamClient interface {
 	Client
 	QueryStream(ctx context.Context, addr, queryText string) (*peer.ResultStream, error)
@@ -311,7 +308,6 @@ type Engine struct {
 	sys    *core.System
 	reg    *peer.Registry
 	client Client
-	batch  BatchClient  // client, when it supports batched messages
 	stream StreamClient // client, when it can stream results
 	opts   Options
 	acache *qcache.Layer // shared answer cache for remote fetches, nil when off
@@ -327,9 +323,8 @@ type Engine struct {
 // New creates an engine over a system (the mediator's knowledge of schemas
 // and mappings), a registry of peer services, and a query client.
 func New(sys *core.System, reg *peer.Registry, client Client, opts Options) *Engine {
-	bc, _ := client.(BatchClient)
 	sc, _ := client.(StreamClient)
-	e := &Engine{sys: sys, reg: reg, client: client, batch: bc, stream: sc, opts: opts}
+	e := &Engine{sys: sys, reg: reg, client: client, stream: sc, opts: opts}
 	e.health = newHealthRegistry(opts.BreakerThreshold, opts.BreakerCooldown)
 	if opts.AnswerCache != nil && sys != nil {
 		e.acache = opts.AnswerCache.Layer("federation")
@@ -401,45 +396,32 @@ func (e *Engine) AnswerWithTGDs(q pattern.Query, sigma []rewrite.TripleTGD) (*pa
 	return e.answerUCQ(context.Background(), res)
 }
 
-// answerUCQ evaluates the rewriting's disjuncts concurrently through
-// plan.Fanout and merges their certain-answer tuples in disjunct order.
-// All disjuncts share one fetcher, so identical sub-queries hit the cache
-// no matter which disjunct issued them first; on failure the error of the
-// lowest-indexed failing disjunct is returned, so parallel runs report
-// errors deterministically. The rule applies to
-// post-retry errors: a disjunct's error surfaces only after its peer calls
-// exhausted their attempt budget (wrapped with the attempt count, %w chain
-// intact), so the winning error is as stable under retries as without
-// them.
+// answerUCQ drains the federated plan of a rewriting and projects its rows
+// to answer tuples. The plan is built without streamed leaves: draining
+// everything gains nothing from them, and its leaves then share the
+// per-query fetch cache that large rewritings depend on. On cancellation
+// the error is ctx.Err(); otherwise it is the post-retry error of the
+// lowest-indexed failing disjunct, so parallel runs report errors
+// deterministically.
 func (e *Engine) answerUCQ(ctx context.Context, res *rewrite.Result) (*pattern.TupleSet, *Metrics, error) {
-	f := newFetcher(e)
-	n := len(res.Disjuncts)
-	sets := make([]*pattern.TupleSet, n)
-	errs := make([]error, n)
-	plan.Fanout(n, func(i int) {
-		d := res.Disjuncts[i]
-		bindings, err := e.evalDisjunct(ctx, f, d.Query.GP)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		s := pattern.NewTupleSet()
-		d.Project(bindings, s)
-		sets[i] = s
-	})
-	m := f.snapshot(res)
+	pq := e.planUCQ(res, false)
+	rows := plan.Drain(pq.Root.Open(ctx, nil))
+	m := pq.Metrics()
 	publishMetrics(m)
 	if err := ctx.Err(); err != nil {
 		return nil, m, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, m, err
-		}
+	if err := pq.Err(); err != nil {
+		return nil, m, err
 	}
+	cols := res.AnswerVars()
 	out := pattern.NewTupleSet()
-	for _, s := range sets {
-		out.Merge(s)
+	for _, mu := range rows {
+		t := make(pattern.Tuple, len(cols))
+		for i, v := range cols {
+			t[i] = mu[v]
+		}
+		out.Add(t)
 	}
 	return out, m, nil
 }
@@ -451,7 +433,7 @@ func (e *Engine) answerUCQ(ctx context.Context, res *rewrite.Result) (*pattern.T
 var (
 	obsQueries   = obs.Default.Counter("rps_fed_queries_total", "Federated queries answered")
 	obsCalls     = obs.Default.Counter("rps_fed_remote_calls_total", "Messages sent to peers")
-	obsBatches   = obs.Default.Counter("rps_fed_batches_total", "Batched messages among remote calls")
+	obsBatches   = obs.Default.Counter("rps_fed_batches_total", "Multi-binding probe queries among remote calls")
 	obsRows      = obs.Default.Counter("rps_fed_rows_fetched_total", "Result rows shipped back from peers")
 	obsBindSteps = obs.Default.Counter(`rps_fed_join_steps_total{strategy="bind"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
 	obsExtSteps  = obs.Default.Counter(`rps_fed_join_steps_total{strategy="extension"}`, "Mediator join steps, by what crossed the network: the left side's bindings or the pattern's extension")
@@ -495,39 +477,6 @@ func publishMetrics(m *Metrics) {
 	obsSkipped.Add(int64(len(m.SkippedSources)))
 }
 
-// evalDisjunct evaluates one conjunctive body across the peers: patterns in
-// joinOrder's order, each step through fetcher.joinStep — or, for a body
-// that is not anchored, over extensions fetched up front.
-func (e *Engine) evalDisjunct(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
-	ordered := joinOrder(gp)
-	var exts [][]pattern.Binding
-	var err error
-	if !anchored(ordered) {
-		if exts, err = f.fetchExtensions(ctx, ordered); err != nil {
-			return nil, err
-		}
-	}
-	acc := []pattern.Binding{{}} // the join identity
-	for i, tp := range ordered {
-		var ext []pattern.Binding
-		switch {
-		case exts != nil:
-			ext = exts[i]
-		case i == 0:
-			ext, err = f.fetchPattern(ctx, tp)
-		default:
-			ext, _, err = f.joinStep(ctx, tp, acc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if acc = joinBindings(acc, ext); len(acc) == 0 {
-			return nil, nil
-		}
-	}
-	return acc, nil
-}
-
 // joinOrder orders a conjunctive body greedily along its join graph (see
 // the package comment): fewest unbound variables first among the patterns
 // connected to what is already bound, body order on ties. A pattern with
@@ -535,7 +484,7 @@ func (e *Engine) evalDisjunct(ctx context.Context, f *fetcher, gp pattern.GraphP
 func joinOrder(gp pattern.GraphPattern) pattern.GraphPattern {
 	out := make(pattern.GraphPattern, 0, len(gp))
 	used := make([]bool, len(gp))
-	bound := make(map[string]bool)
+	var bound []string
 	for len(out) < len(gp) {
 		best, bestConnected, bestUnbound := -1, false, 0
 		for i, tp := range gp {
@@ -546,7 +495,7 @@ func joinOrder(gp pattern.GraphPattern) pattern.GraphPattern {
 			for _, e := range tp.Elems() {
 				switch {
 				case !e.IsVar():
-				case bound[e.Var()]:
+				case slices.Contains(bound, e.Var()):
 					connected = true
 				default:
 					unbound++ // per position: ?x p ?x is less selective than c p ?x
@@ -559,9 +508,7 @@ func joinOrder(gp pattern.GraphPattern) pattern.GraphPattern {
 		}
 		used[best] = true
 		out = append(out, gp[best])
-		for _, v := range gp[best].Vars() {
-			bound[v] = true
-		}
+		bound = appendVars(bound, gp[best])
 	}
 	return out
 }
@@ -575,19 +522,6 @@ func anchored(gp pattern.GraphPattern) bool {
 		}
 	}
 	return false
-}
-
-// joinBindings is Ω₁ ⋈ Ω₂ through the algebra's hash join, hashing the
-// smaller set (HashJoinBindings drains its right argument as the build
-// side).
-func joinBindings(a, b []pattern.Binding) []pattern.Binding {
-	if len(a) == 1 && len(a[0]) == 0 {
-		return b // a is the join identity
-	}
-	if len(a) <= len(b) {
-		return plan.HashJoinBindings(b, a)
-	}
-	return plan.HashJoinBindings(a, b)
 }
 
 // patternIRIs returns the constant IRIs of a pattern (for source selection).

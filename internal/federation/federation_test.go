@@ -288,3 +288,46 @@ func TestRewriteMemoHits(t *testing.T) {
 		t.Errorf("Plan rewrote into %d disjuncts, Answer into %d", p.Rewriting.Size(), first.Disjuncts)
 	}
 }
+
+// A mapping whose source query answers one variable twice merges the
+// query's two answer variables in its disjunct ({?a r ?a} answering
+// (?a, ?a)): the disjunct's rows reach the answer under the query's own
+// columns, both filled.
+func TestMergedAnswerVariables(t *testing.T) {
+	sys := core.NewSystem()
+	src := sys.AddPeer("src")
+	dst := sys.AddPeer("dst")
+	r, q := rdf.IRI("http://e/r"), rdf.IRI("http://e/q")
+	a, b := rdf.IRI("http://e/a"), rdf.IRI("http://e/b")
+	for _, tr := range []rdf.Triple{{S: a, P: r, O: a}, {S: a, P: r, O: b}} {
+		if err := src.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Add(rdf.Triple{S: b, P: q, O: a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddMapping(core.GraphMappingAssertion{
+		From: pattern.MustQuery([]string{"z", "z"},
+			pattern.GraphPattern{pattern.TP(pattern.V("z"), pattern.C(r), pattern.V("z"))}),
+		To: pattern.MustQuery([]string{"x", "y"},
+			pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(q), pattern.V("y"))}),
+		SrcPeer: "src", DstPeer: "dst",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	query := pattern.MustQuery([]string{"s", "o"},
+		pattern.GraphPattern{pattern.TP(pattern.V("s"), pattern.C(q), pattern.V("o"))})
+	want := chaseAnswers(t, sys, query)
+	if !want.Has(pattern.Tuple{a, a}) || want.Len() != 2 {
+		t.Fatalf("chase answers = %v, want (a, a) and (b, a)", want.Sorted())
+	}
+	eng, _ := deploy(sys, federation.Options{})
+	got, m, err := eng.Answer(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Disjuncts != 2 || !got.Equal(want) {
+		t.Fatalf("%d disjuncts, answers %v, want %v", m.Disjuncts, got.Sorted(), want.Sorted())
+	}
+}

@@ -52,6 +52,7 @@ type fetcher struct {
 	hedgeWins int
 	fastFails int
 	err       error
+	errAt     int // the disjunct err was recorded against
 }
 
 // fetchEntry is one cache slot. The creator (leader) computes rows/err and
@@ -216,17 +217,19 @@ func (f *fetcher) skippedNames() []string {
 	return out
 }
 
-// recordErr keeps the first out-of-band error (used by plan execution,
-// where RemoteScan iterators have no error channel).
-func (f *fetcher) recordErr(err error) {
+// recordErr records the error of a leaf of disjunct i out of band
+// (RemoteScan iterators have no error channel). The lowest disjunct's
+// error is kept, whichever arrives first, so parallel executions report
+// the same error; within one disjunct the first recorded one stays.
+func (f *fetcher) recordErr(i int, err error) {
 	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
+	if f.err == nil || i < f.errAt {
+		f.err, f.errAt = err, i
 	}
 	f.mu.Unlock()
 }
 
-// Err returns the first out-of-band error recorded during plan execution.
+// Err returns the error recordErr kept.
 func (f *fetcher) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -403,32 +406,6 @@ func (f *fetcher) query(ctx context.Context, src peer.Entry, queryText string, b
 	})
 }
 
-// queryBatch ships several query texts to one source as a single message,
-// under the same retry/failover/hedging loop as query. The caller
-// guarantees the engine's client supports batching.
-func (f *fetcher) queryBatch(ctx context.Context, src peer.Entry, texts []string) ([]*sparql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return callRetry(f, ctx, src, func(actx context.Context, addr string) ([]*sparql.Result, error) {
-		if err := actx.Err(); err != nil {
-			return nil, err
-		}
-		release := f.acquire(addr)
-		rs, err := f.eng.batch.QueryBatch(actx, addr, texts)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		f.mu.Lock()
-		f.calls++
-		f.batches++
-		f.sources[src.Name] = true
-		f.mu.Unlock()
-		return rs, nil
-	})
-}
-
 // resultBindings turns a peer's result into solution mappings over vars,
 // accounting shipped rows. ASK results become the empty binding (the
 // identity of the compatibility join) when true. Rows with unbound
@@ -540,8 +517,8 @@ func (f *fetcher) fetchMerged(ctx context.Context, candidates []peer.Entry, quer
 // joinStep is the mediator's one rule for what crosses the network at a
 // join step (see the package comment): the side of acc ⋈ tp that lives at
 // the peers arrives as the answers to acc's restrictions shipped as probes
-// (shipped = true) or as tp's whole extension. Both the answer path
-// (evalDisjunct) and the plan path (disjunctPlan) come through here.
+// (shipped = true) or as tp's whole extension. Every plan.RemoteJoin step
+// of disjunctPlan comes through here.
 func (f *fetcher) joinStep(ctx context.Context, tp pattern.TriplePattern, acc []pattern.Binding) (ext []pattern.Binding, shipped bool, err error) {
 	restrictions, shipped := restrictionsOf(acc, tp.Vars(), f.eng.opts.bindLimit())
 	f.mu.Lock()
@@ -637,175 +614,4 @@ func (f *fetcher) probeSources(tp pattern.TriplePattern, restrictions []pattern.
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// fetchExtensions retrieves the extensions of every pattern of a
-// conjunctive body at once: patterns resolve through the shared cache, and
-// the remaining sub-queries are grouped by candidate source so each source
-// is asked once — one batched message carrying all of its sub-queries when
-// the client supports batching, one message per sub-query otherwise.
-func (f *fetcher) fetchExtensions(ctx context.Context, gp pattern.GraphPattern) ([][]pattern.Binding, error) {
-	// job is one fetch this call leads; want is where pattern i's rows
-	// come from: nowhere (impossible), the engine-wide cache (rows), or a
-	// flight — another execution's, or a job of this call (entry).
-	type job struct {
-		tp     pattern.TriplePattern
-		text   string
-		vars   []string
-		entry  *fetchEntry
-		perSrc [][]pattern.Binding
-		err    error
-	}
-	type want struct {
-		text  string
-		vars  []string
-		hit   bool
-		rows  []pattern.Binding
-		entry *fetchEntry
-	}
-	// consult the engine-wide epoch-keyed cache first: extensions fetched
-	// by earlier query executions are reused until some peer's epoch moves
-	shared := f.eng.acache
-	if f.epochs == nil {
-		shared = nil
-	}
-	wants := make([]want, len(gp))
-	for i, tp := range gp {
-		if impossible(tp) {
-			continue
-		}
-		text, vars, err := renderPatternQuery(tp, nil)
-		if err != nil {
-			return nil, err
-		}
-		wants[i] = want{text: text, vars: vars}
-		if shared != nil {
-			if v, ok := shared.Get(text, f.epochs); ok {
-				wants[i].hit = true
-				wants[i].rows = v.(extension).as(vars)
-			}
-		}
-	}
-
-	// classify the others under the cache lock: already cached or in flight
-	// in this execution (possibly as another pattern of this body), or a
-	// fresh fetch this call leads
-	var jobs []*job
-	f.mu.Lock()
-	for i := range wants {
-		w := &wants[i]
-		if w.text == "" {
-			continue
-		}
-		if ent, ok := f.cache[w.text]; ok || w.hit {
-			f.cacheHits++
-			if !w.hit {
-				w.entry = ent
-			}
-			continue
-		}
-		w.entry = &fetchEntry{done: make(chan struct{}), extension: extension{vars: w.vars}}
-		f.cache[w.text] = w.entry
-		jobs = append(jobs, &job{tp: gp[i], text: w.text, vars: w.vars, entry: w.entry})
-	}
-	f.mu.Unlock()
-
-	// group the led fetches by candidate source
-	type srcCall struct {
-		src   peer.Entry
-		jobs  []*job
-		pos   []int // jobs[k].perSrc[pos[k]] receives this source's rows
-		texts []string
-	}
-	var calls []*srcCall
-	byAddr := make(map[string]*srcCall)
-	for _, j := range jobs {
-		sources := f.eng.reg.SelectSources(patternIRIs(j.tp))
-		j.perSrc = make([][]pattern.Binding, len(sources))
-		for pos, src := range sources {
-			c, ok := byAddr[src.Addr]
-			if !ok {
-				c = &srcCall{src: src}
-				byAddr[src.Addr] = c
-				calls = append(calls, c)
-			}
-			c.jobs, c.pos, c.texts = append(c.jobs, j), append(c.pos, pos), append(c.texts, j.text)
-		}
-	}
-
-	// one round trip per source (batched when possible), concurrently
-	callErrs := make([]error, len(calls))
-	plan.Fanout(len(calls), func(ci int) {
-		c := calls[ci]
-		var rs []*sparql.Result
-		var err error
-		if len(c.texts) > 1 && f.eng.batch != nil {
-			rs, err = f.queryBatch(ctx, c.src, c.texts)
-		} else {
-			rs = make([]*sparql.Result, len(c.texts))
-			for k, text := range c.texts {
-				if rs[k], err = f.query(ctx, c.src, text, 0); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			if f.partial && ctx.Err() == nil && retryable(err) {
-				// the whole source is exhausted: every pattern it should
-				// have answered loses its contribution (slots stay empty)
-				// and the answer is tagged partial
-				f.skipSource(c.src, err)
-				return
-			}
-			callErrs[ci] = err
-			return
-		}
-		for k, j := range c.jobs {
-			j.perSrc[c.pos[k]] = f.resultBindings(rs[k], j.vars)
-		}
-	})
-	for ci, err := range callErrs {
-		for _, j := range calls[ci].jobs {
-			if err != nil && j.err == nil {
-				j.err = err
-			}
-		}
-	}
-
-	// publish each job's merged extension (or error) to its cache entry,
-	// and successful complete fetches to the engine-wide cache for later
-	// executions (a degraded execution publishes nothing — see
-	// sharedCached). Failed entries are removed before their waiters wake,
-	// so later callers lead a fresh attempt instead of inheriting the
-	// stale error.
-	anySkipped := f.anySkipped()
-	for _, j := range jobs {
-		if j.entry.err = j.err; j.err == nil {
-			j.entry.rows = mergeBindings(j.perSrc, j.vars)
-			if shared != nil && !anySkipped {
-				shared.Put(j.text, f.epochs, j.entry.extension, bindingsBytes(j.entry.rows))
-			}
-		} else {
-			f.mu.Lock()
-			if f.cache[j.text] == j.entry {
-				delete(f.cache, j.text)
-			}
-			f.mu.Unlock()
-		}
-		close(j.entry.done)
-	}
-
-	// assemble results per pattern, first error in pattern order wins
-	out := make([][]pattern.Binding, len(gp))
-	for i, w := range wants {
-		out[i] = w.rows
-		if w.entry != nil {
-			<-w.entry.done
-			if w.entry.err != nil {
-				return nil, w.entry.err
-			}
-			out[i] = w.entry.as(w.vars)
-		}
-	}
-	return out, nil
 }

@@ -30,7 +30,7 @@ func deployOn(sys *core.System, net *simnet.Network, opts federation.Options) *f
 
 // oneShotClient hides peer.Client's QueryStream: a mediator over it takes
 // the one-shot wire, as one over any non-streaming client does.
-type oneShotClient struct{ federation.BatchClient }
+type oneShotClient struct{ federation.Client }
 
 // deployWireOn is deployOn with the mediator on the one-shot wire when
 // oneShot is set, on the streamed wire otherwise.
@@ -474,8 +474,8 @@ func TestFederatedPlanExplainAndExecute(t *testing.T) {
 			}),
 			explain: []string{
 				"RemoteJoin[on y]\n" +
-					"            RemoteScan[<http://e/s1> <http://e/p> ?y] sources=1 window=2\n" +
-					"            RemoteScan[?y <http://e/q> ?z] sources=1 bind<=16 batch=8 window=2\n",
+					"          RemoteScan[<http://e/s1> <http://e/p> ?y] sources=1 window=2\n" +
+					"          RemoteScan[?y <http://e/q> ?z] sources=1 bind<=16 batch=8 window=2\n",
 			},
 			after: "RemoteScan[?y <http://e/q> ?z] sources=1 bind<=16 batch=8 window=2 strategy=bind\n",
 		},

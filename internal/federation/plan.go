@@ -3,7 +3,8 @@ package federation
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -17,7 +18,8 @@ import (
 // fetch through the engine's client and shared cache; check Err afterwards,
 // RemoteScan iterators have no error channel).
 type PlannedQuery struct {
-	// Root is the plan: Distinct over the Union of the disjunct plans.
+	// Root is the plan: Distinct over the Union of the disjunct plans. Its
+	// rows bind the rewriting's answer variables (Rewriting.AnswerVars).
 	Root plan.Node
 	// Rewriting is the UCQ the plan evaluates.
 	Rewriting *rewrite.Result
@@ -25,7 +27,8 @@ type PlannedQuery struct {
 	f *fetcher
 }
 
-// Err returns the first network error recorded while executing the plan.
+// Err returns the network error of the lowest-indexed disjunct that
+// recorded one while the plan executed (see fetcher.recordErr).
 func (p *PlannedQuery) Err() error { return p.f.Err() }
 
 // Metrics freezes the fetch-layer counters accumulated so far.
@@ -37,27 +40,20 @@ func (p *PlannedQuery) Explain() string {
 	return fmt.Sprintf("-- federated UCQ of %d disjuncts\n", p.Rewriting.Size()) + plan.Format(p.Root)
 }
 
-// Plan builds the federated plan of q without executing it. Executing the
-// returned plan runs what Answer runs: each disjunct's leaves stand in
-// joinOrder's order and its join steps go through fetcher.joinStep and the
-// shared per-plan cache. The RemoteScan annotations — source fan-out, the
-// bind-or-fetch rule of a step (bind<=N batch=B), in-flight window —
-// describe how the executor crosses the network.
+// Plan builds the federated plan of q without executing it. It is the plan
+// AnswerCtx drains, except that with a streaming client the leaves that
+// fetch whole extensions stream them and the disjunct union merges rows as
+// branches produce them — a consumer that stops early (LIMIT, ASK, a
+// closed iterator) then reaches into the remote scans. The RemoteScan
+// annotations — source fan-out, the bind-or-fetch rule of a step
+// (bind<=N batch=B), in-flight window — describe how the executor crosses
+// the network.
 func (e *Engine) Plan(q pattern.Query) (*PlannedQuery, error) {
 	res, err := e.rewriteQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	f := newFetcher(e)
-	children := make([]plan.Node, len(res.Disjuncts))
-	for i, d := range res.Disjuncts {
-		children[i] = e.disjunctPlan(f, d)
-	}
-	// with a streaming client, the disjunct union merges rows as branches
-	// produce them — the first answer surfaces at the fastest branch's
-	// speed, and closing the plan reaches into every branch's remote scans
-	root := &plan.Distinct{Child: &plan.Union{Children: children, Stream: e.stream != nil}}
-	return &PlannedQuery{Root: root, Rewriting: res, f: f}, nil
+	return e.planUCQ(res, e.stream != nil), nil
 }
 
 // Explain renders the federated plan of q.
@@ -69,92 +65,137 @@ func (e *Engine) Explain(q pattern.Query) (string, error) {
 	return p.Explain(), nil
 }
 
-// disjunctPlan builds one disjunct's mediator plan — evalDisjunct as
-// operators: RemoteScan leaves in joinOrder's order, folded left-deep by
-// RemoteJoin steps bound to fetcher.joinStep (by hash joins over streamed
-// extensions when the body is not anchored), in the π·δ query shape.
-func (e *Engine) disjunctPlan(f *fetcher, d rewrite.Disjunct) plan.Node {
-	gp := d.Query.GP
+// planUCQ builds the federated plan of a rewriting over one fresh fetcher,
+// so every disjunct shares its fetch cache. stream selects streamed
+// extension leaves under a streaming Union; a consumer that drains
+// everything gains nothing from them and passes false, so its leaves fetch
+// through the shared cache. Each disjunct's rows leave its AnswerNode
+// unfiltered for duplicates: the root Distinct removes them once.
+func (e *Engine) planUCQ(res *rewrite.Result, stream bool) *PlannedQuery {
+	f := newFetcher(e)
+	cols := res.AnswerVars()
+	sources := func(tp pattern.TriplePattern) int { return len(e.reg.SelectSources(patternIRIs(tp))) }
+	children := make([]plan.Node, len(res.Disjuncts))
+	for i, d := range res.Disjuncts {
+		children[i] = d.AnswerNode(e.disjunctPlan(f, i, d.Query.GP, stream, sources), cols)
+	}
+	root := &plan.Distinct{Child: &plan.Union{Children: children, Stream: stream}}
+	return &PlannedQuery{Root: root, Rewriting: res, f: f}
+}
+
+// disjunctPlan builds the mediator plan of disjunct i's body: RemoteScan
+// leaves in joinOrder's order, folded left-deep by RemoteJoin steps bound
+// to fetcher.joinStep when the body is anchored, and by hash joins over
+// whole extensions otherwise. Failures are recorded against i.
+func (e *Engine) disjunctPlan(f *fetcher, i int, gp pattern.GraphPattern, stream bool, sources func(pattern.TriplePattern) int) plan.Node {
 	if len(gp) == 0 {
 		return plan.Unit{}
 	}
 	ordered := joinOrder(gp)
 	stepwise := len(ordered) > 1 && anchored(ordered)
 	leaf := func(tp pattern.TriplePattern) *plan.RemoteScan {
-		s := &plan.RemoteScan{
-			TP:      tp,
-			Sources: len(e.reg.SelectSources(patternIRIs(tp))),
-			Window:  e.opts.window(),
-			Fetch: func(ctx context.Context, tp pattern.TriplePattern) []pattern.Binding {
-				rows, err := f.fetchPattern(ctx, tp)
-				if err != nil {
-					f.recordErr(err)
-				}
-				return rows
-			},
-			Degraded: f.skippedNames,
-		}
-		if e.stream != nil && !stepwise {
-			// rows reach the joins as remote chunks arrive; closing the
-			// plan iterator closes the remote streams (early termination).
-			// A step drains its left side before deciding, so a stepwise
-			// body fetches through the shared cache instead.
-			s.FetchStream = f.streamPattern
-		}
-		return s
+		return &plan.RemoteScan{TP: tp, Sources: sources, Window: e.opts.window(), Degraded: f.skippedNames}
 	}
-	var root plan.Node = leaf(ordered[0])
-	for _, tp := range ordered[1:] {
-		right, shared := leaf(tp), sharedSorted(root.Vars(), tp.Vars())
-		if !stepwise {
-			root = &plan.HashJoin{Left: root, Right: right, Shared: shared}
-			continue
+	first := leaf(ordered[0])
+	switch {
+	case stream && !stepwise:
+		// rows reach the joins as remote chunks arrive; closing the plan
+		// iterator closes the remote streams (early termination). A step
+		// drains its left side before deciding, so a stepwise body fetches
+		// through the shared cache instead.
+		first.FetchStream = func(ctx context.Context, tp pattern.TriplePattern) plan.Iterator {
+			return f.streamPattern(ctx, tp, i)
 		}
-		right.BindLimit, right.Batch = e.opts.bindLimit(), e.opts.batchSize()
-		right.Probe = func(ctx context.Context, tp pattern.TriplePattern, left []pattern.Binding) ([]pattern.Binding, bool) {
+	case !stepwise && len(ordered) > 1:
+		first.Fetch = (&extensions{f: f, disjunct: i, gp: ordered}).get
+	default:
+		first.Fetch = func(ctx context.Context, tp pattern.TriplePattern) []pattern.Binding {
+			rows, err := f.fetchPattern(ctx, tp)
+			if err != nil {
+				f.recordErr(i, err)
+			}
+			return rows
+		}
+	}
+	var probe func(context.Context, pattern.TriplePattern, []pattern.Binding) ([]pattern.Binding, bool)
+	if stepwise {
+		probe = func(ctx context.Context, tp pattern.TriplePattern, left []pattern.Binding) ([]pattern.Binding, bool) {
 			rows, shipped, err := f.joinStep(ctx, tp, left)
 			if err != nil {
-				f.recordErr(err)
+				f.recordErr(i, err)
 			}
 			return rows, shipped
 		}
-		root = &plan.RemoteJoin{Left: root, Right: right, Shared: shared}
 	}
-	// the disjunct→answer step of rewrite.Disjunct.Project, as operators:
-	// splice in answer variables the rewriting bound to constants, drop
-	// tuples with unbound answer variables or blank nodes (Q_D semantics)
-	if len(d.Bound) > 0 {
-		root = &plan.Extend{Child: root, Bound: d.Bound}
-	}
-	free := d.Query.Free
-	certain := &plan.Filter{
-		Child: root,
-		Pred: func(mu pattern.Binding) bool {
-			for _, f := range free {
-				t, ok := mu[f]
-				if !ok || t.IsBlank() {
-					return false
-				}
-			}
-			return true
-		},
-		Label: "certain",
-	}
-	return &plan.Distinct{Child: &plan.Project{Child: certain, Cols: free}}
-}
-
-// sharedSorted intersects two sorted variable lists.
-func sharedSorted(a, b []string) []string {
-	set := make(map[string]bool, len(a))
-	for _, v := range a {
-		set[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if set[v] {
-			out = append(out, v)
+	var root plan.Node = first
+	bound := appendVars(make([]string, 0, 3*len(ordered)), ordered[0])
+	for _, tp := range ordered[1:] {
+		right := leaf(tp)
+		shared := sharedVars(bound, tp)
+		bound = appendVars(bound, tp)
+		if stepwise {
+			right.BindLimit, right.Batch, right.Probe = e.opts.bindLimit(), e.opts.batchSize(), probe
+			root = &plan.RemoteJoin{Left: root, Right: right, Shared: shared}
+		} else {
+			right.Fetch, right.FetchStream = first.Fetch, first.FetchStream
+			root = &plan.HashJoin{Left: root, Right: right, Shared: shared}
 		}
 	}
-	sort.Strings(out)
+	return root
+}
+
+// appendVars appends tp's variables to vars (duplicates included).
+func appendVars(vars []string, tp pattern.TriplePattern) []string {
+	for _, e := range tp.Elems() {
+		if e.IsVar() {
+			vars = append(vars, e.Var())
+		}
+	}
+	return vars
+}
+
+// sharedVars returns tp's variables that occur in bound, sorted: the join
+// variables of a step.
+func sharedVars(bound []string, tp pattern.TriplePattern) []string {
+	var out []string
+	for _, e := range tp.Elems() {
+		if e.IsVar() && slices.Contains(bound, e.Var()) && !slices.Contains(out, e.Var()) {
+			out = append(out, e.Var())
+		}
+	}
+	slices.Sort(out)
 	return out
+}
+
+// extensions are the leaf extensions of a body that is not anchored,
+// fetched together. plan.HashJoin drains its build side before it opens
+// its probe side, so leaves that fetched when opened would pay one round
+// trip each, in sequence; instead the first leaf opened fetches every
+// leaf's extension concurrently, through the shared cache, and the others
+// take their share.
+type extensions struct {
+	f        *fetcher
+	disjunct int
+	gp       pattern.GraphPattern
+	once     sync.Once
+	rows     [][]pattern.Binding
+}
+
+// get returns tp's extension, fetching all of them on the first call; the
+// first failure in pattern order is recorded against the disjunct.
+func (x *extensions) get(ctx context.Context, tp pattern.TriplePattern) []pattern.Binding {
+	x.once.Do(func() {
+		x.rows = make([][]pattern.Binding, len(x.gp))
+		errs := make([]error, len(x.gp))
+		plan.Fanout(len(x.gp), func(j int) {
+			x.rows[j], errs[j] = x.f.fetchPattern(ctx, x.gp[j])
+		})
+		for _, err := range errs {
+			if err != nil {
+				x.f.recordErr(x.disjunct, err)
+				break
+			}
+		}
+	})
+	return x.rows[slices.Index(x.gp, tp)]
 }

@@ -32,8 +32,7 @@ const (
 )
 
 // RetryPolicy bounds the retry loop wrapped around every peer call —
-// extension fetches, probe batches, and batched protocol messages
-// alike. Only transient failures (peer.Retryable: unreachable nodes,
+// extension fetches and probe batches alike. Only transient failures (peer.Retryable: unreachable nodes,
 // mid-stream death, transport errors, 5xx, deadlines) are retried; terminal
 // errors such as malformed queries return immediately. Attempts after a
 // failure prefer endpoints of the source's replica set not yet tried this

@@ -30,10 +30,11 @@ import (
 // pattern open independent streams (coalescing a live stream would force
 // the faster consumer to buffer for the slower one).
 //
-// Errors follow the plan path's out-of-band convention: terminal failures
-// land in f.recordErr (the iterator just ends early), transient post-retry
-// failures under Options.Partial skip the source.
-func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) plan.Iterator {
+// Errors follow the plan's out-of-band convention: terminal failures land
+// in f.recordErr against the leaf's disjunct (the iterator just ends
+// early), transient post-retry failures under Options.Partial skip the
+// source.
+func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern, disjunct int) plan.Iterator {
 	replay := func(rows []pattern.Binding) plan.Iterator {
 		return (&plan.Bindings{Rows: rows}).Open(ctx, nil)
 	}
@@ -42,7 +43,7 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 	}
 	queryText, vars, err := renderPatternQuery(tp, nil)
 	if err != nil {
-		f.recordErr(err)
+		f.recordErr(disjunct, err)
 		return replay(nil)
 	}
 	if l := f.eng.acache; l != nil && f.epochs != nil {
@@ -55,24 +56,28 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 	}
 	candidates := f.eng.reg.SelectSources(patternIRIs(tp))
 	ictx, cancel := context.WithCancel(ctx)
-	ch := make(chan pattern.Binding)
+	// ch is never closed: a hedged attempt's loser may still be pumping
+	// after its call returned the winner, so the end of the stream is done
+	// instead, closed once every call has returned. Every pump still
+	// running then has a canceled attempt context and stops sending.
+	ch, done := make(chan pattern.Binding), make(chan struct{})
 	go func() {
-		defer close(ch)
+		defer close(done)
 		plan.Fanout(len(candidates), func(i int) {
 			src := candidates[i]
 			_, err := callRetry(f, ictx, src, func(actx context.Context, addr string) (struct{}, error) {
-				return struct{}{}, f.pumpStream(actx, addr, src, queryText, vars, ch, ictx.Done())
+				return struct{}{}, f.pumpStream(actx, addr, src, queryText, vars, ch)
 			})
 			if err != nil && ictx.Err() == nil {
 				if f.partial && retryable(err) {
 					f.skipSource(src, err)
 					return
 				}
-				f.recordErr(err)
+				f.recordErr(disjunct, err)
 			}
 		})
 	}()
-	it := &streamIter{ch: ch, cancel: cancel, vars: vars, seen: make(map[string]bool)}
+	it := &streamIter{ch: ch, done: done, cancel: cancel, vars: vars, seen: make(map[string]bool)}
 	it.publish = func(rows []pattern.Binding) {
 		// publish only a complete, non-degraded drain
 		if l := f.eng.acache; l != nil && f.epochs != nil && f.Err() == nil && !f.anySkipped() {
@@ -83,12 +88,14 @@ func (f *fetcher) streamPattern(ctx context.Context, tp pattern.TriplePattern) p
 }
 
 // pumpStream opens one stream against addr and pushes its decoded bindings
-// to out, stopping when the stream ends, errors, or stop closes. It is the
-// body of one retry attempt: the stream is opened AND fully consumed inside
-// it, so the retry/hedge machinery treats the whole pump as the unit of
-// failure (a mid-stream death retries from scratch; a hedged loser's
-// context cancellation kills its pump on the next pull).
-func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, queryText string, vars []string, out chan<- pattern.Binding, stop <-chan struct{}) error {
+// to out until the stream ends or errors. It is the body of one retry
+// attempt: the stream is opened AND fully consumed inside it, so the
+// retry/hedge machinery treats the whole pump as the unit of failure (a
+// mid-stream death retries from scratch). It stops sending as soon as the
+// attempt's context is done — the consumer closed the iterator, the
+// attempt timed out, or it lost a hedged race — and returns that context's
+// error.
+func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, queryText string, vars []string, out chan<- pattern.Binding) error {
 	if err := actx.Err(); err != nil {
 		return err
 	}
@@ -99,12 +106,12 @@ func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, 
 		return err
 	}
 	defer rs.Close()
-	send := func(mu pattern.Binding) bool {
+	send := func(mu pattern.Binding) error {
 		select {
 		case out <- mu:
-			return true
-		case <-stop:
-			return false
+			return nil
+		case <-actx.Done():
+			return actx.Err()
 		}
 	}
 	if rs.Ask() {
@@ -120,7 +127,9 @@ func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, 
 		}
 		if rs.True() {
 			f.addRows(1)
-			send(pattern.Binding{})
+			if err := send(pattern.Binding{}); err != nil {
+				return err
+			}
 		}
 	} else {
 		for {
@@ -144,8 +153,8 @@ func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, 
 			if !complete {
 				continue // unbound variables: dropped, as resultBindings does
 			}
-			if !send(mu) {
-				return nil // consumer closed: stop pumping, not an error
+			if err := send(mu); err != nil {
+				return err
 			}
 		}
 	}
@@ -161,46 +170,41 @@ func (f *fetcher) pumpStream(actx context.Context, addr string, src peer.Entry, 
 // makes retry replays and hedge duplicates invisible).
 type streamIter struct {
 	ch      <-chan pattern.Binding
+	done    <-chan struct{}
 	cancel  context.CancelFunc
 	vars    []string
 	seen    map[string]bool
 	rows    []pattern.Binding
 	publish func(rows []pattern.Binding)
 	closed  bool
-	done    bool
+	ended   bool
 }
 
 func (it *streamIter) Next() (pattern.Binding, bool) {
-	for {
-		mu, ok := <-it.ch
-		if !ok {
-			if !it.done {
-				it.done = true
-				if it.publish != nil && !it.closed {
-					it.publish(it.rows)
-				}
+	for !it.ended {
+		select {
+		case mu := <-it.ch:
+			k := pattern.BindingKey(mu, it.vars)
+			if it.seen[k] {
+				continue
 			}
-			return nil, false
+			it.seen[k] = true
+			it.rows = append(it.rows, mu)
+			return mu, true
+		case <-it.done:
+			it.ended = true
+			if it.publish != nil && !it.closed {
+				it.publish(it.rows)
+			}
 		}
-		k := pattern.BindingKey(mu, it.vars)
-		if it.seen[k] {
-			continue
-		}
-		it.seen[k] = true
-		it.rows = append(it.rows, mu)
-		return mu, true
 	}
+	return nil, false
 }
 
+// Close cancels the pumps; each stops at its next send or pull.
 func (it *streamIter) Close() {
-	if !it.done {
+	if !it.ended {
 		it.closed = true // abandoned early: never publish a partial drain
 	}
 	it.cancel()
-	// drain the channel so the pumps observe the cancellation and exit
-	// rather than blocking forever on a full channel
-	go func() {
-		for range it.ch {
-		}
-	}()
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -153,11 +154,12 @@ func appendLenPrefixed(b *strings.Builder, s string) {
 // different domains cannot collide. Used for duplicate elimination over
 // streams whose rows may bind different variable sets.
 func DomainKey(mu Binding) string {
-	vars := make([]string, 0, len(mu))
+	var buf [8]string // rows are narrow: keep the name list off the heap
+	vars := buf[:0]
 	for v := range mu {
 		vars = append(vars, v)
 	}
-	sort.Strings(vars)
+	slices.Sort(vars)
 	var b strings.Builder
 	for _, v := range vars {
 		appendLenPrefixed(&b, v)

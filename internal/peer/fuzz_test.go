@@ -1,15 +1,38 @@
 package peer
 
 import (
-	"reflect"
+	"bytes"
+	"context"
+	"io"
+	"net/http"
 	"testing"
 )
 
+// bodyTransport answers every request with one fixed body under a fixed
+// content type, without a network.
+type bodyTransport struct {
+	contentType string
+	body        []byte
+}
+
+func (b bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Status:     "200 OK",
+		Header:     http.Header{"Content-Type": {b.contentType}},
+		Body:       io.NopCloser(bytes.NewReader(b.body)),
+		Request:    r,
+	}, nil
+}
+
 // FuzzPeerDecode drives the decoders that read a stranger's bytes — a
-// peer's results document, a batch response, and the batch request rpsd
-// accepts from any client — with arbitrary input: they must never panic,
-// and whatever decodes must be well formed. The seed corpus under testdata
-// holds a SELECT and an ASK document, a batch response and a batch request.
+// peer's results document, and a peer's NDJSON result stream read through
+// HTTPClient.QueryStream — with arbitrary input: they must never panic,
+// and whatever decodes must be well formed (every row as wide as the
+// projection). The seed corpus under testdata holds a SELECT and an ASK
+// document, a head/chunk/trailer stream, and two JSON arrays (the request
+// and response bodies of a retired batch message), which both decoders
+// must reject.
 func FuzzPeerDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if res, err := DecodeResult(data); err == nil {
@@ -19,21 +42,19 @@ func FuzzPeerDecode(f *testing.F) {
 				}
 			}
 		}
-		if rs, err := DecodeBatchResults(data); err == nil {
-			for i, r := range rs {
-				if r == nil {
-					t.Fatalf("batch result %d decoded to nil", i)
-				}
-			}
+		c := &HTTPClient{Client: &http.Client{Transport: bodyTransport{StreamContentType, data}}}
+		rs, err := c.QueryStream(context.Background(), "http://peer.invalid/sparql", "ASK {}")
+		if err != nil {
+			return
 		}
-		if queries, err := DecodeBatchRequest(data); err == nil {
-			enc, err := EncodeBatchRequest(queries)
-			if err != nil {
-				t.Fatalf("re-encoding a decoded batch request: %v", err)
+		defer rs.Close()
+		for {
+			row, ok, err := rs.Next()
+			if err != nil || !ok {
+				return
 			}
-			again, err := DecodeBatchRequest(enc)
-			if err != nil || !reflect.DeepEqual(again, queries) {
-				t.Fatalf("batch request round trip: %v", err)
+			if len(row) != len(rs.Vars()) {
+				t.Fatalf("streamed a %d-cell row under %d variables", len(row), len(rs.Vars()))
 			}
 		}
 	})

@@ -36,17 +36,11 @@ func NewHTTPService(p *core.Peer) *HTTPService { return &HTTPService{peer: p} }
 // produced across every request, streamed and one-shot alike.
 func (s *HTTPService) RowsProduced() int64 { return s.rowsProduced.Load() }
 
-// ServeHTTP implements http.Handler. A POST with the batch content type
-// (peer.BatchContentType) carries a JSON array of query texts and returns a
-// JSON array of result documents — the HTTP form of the batched protocol.
-// Evaluation runs under the request's context: if the caller disconnects or
+// ServeHTTP implements http.Handler. Evaluation runs under the request's
+// context: if the caller disconnects or
 // a server-side deadline fires, the query stops producing tuples and the
 // handler answers 503.
 func (s *HTTPService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && strings.HasPrefix(r.Header.Get("Content-Type"), BatchContentType) {
-		s.serveBatch(w, r)
-		return
-	}
 	queryText, err := extractQuery(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -143,39 +137,6 @@ func (s *HTTPService) serveStream(w http.ResponseWriter, r *http.Request, q *spa
 	emit(streamFrame{Done: true, Produced: rs.Produced()})
 }
 
-func (s *HTTPService) serveBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	queries, err := DecodeBatchRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	rs := make([]*sparql.Result, len(queries))
-	for i, text := range queries {
-		q, err := sparql.Parse(text, nil)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("batch query %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		rs[i], err = q.EvalCtx(r.Context(), s.peer.Data())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	}
-	payload, err := EncodeBatchResults(rs)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(payload)
-}
-
 func extractQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	switch r.Method {
 	case http.MethodGet:
@@ -229,27 +190,6 @@ func (c *HTTPClient) QueryContext(ctx context.Context, endpoint, queryText strin
 		return nil, err
 	}
 	return DecodeResult(body)
-}
-
-// QueryBatch POSTs several query texts in one request (peer.BatchContentType)
-// and decodes the per-query results. The POST inherits ctx.
-func (c *HTTPClient) QueryBatch(ctx context.Context, endpoint string, queries []string) ([]*sparql.Result, error) {
-	payload, err := EncodeBatchRequest(queries)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.post(ctx, endpoint, BatchContentType, string(payload))
-	if err != nil {
-		return nil, err
-	}
-	rs, err := DecodeBatchResults(body)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(queries) {
-		return nil, fmt.Errorf("peer: batch response has %d results for %d queries", len(rs), len(queries))
-	}
-	return rs, nil
 }
 
 // QueryStream POSTs the query asking for the chunked stream encoding

@@ -68,20 +68,6 @@ func (n *Node) handle(from string, req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{}, err
 		}
 		return simnet.Message{Type: MsgSPARQL, Payload: payload}, nil
-	case MsgSPARQLBatch:
-		queries, err := DecodeBatchRequest(req.Payload)
-		if err != nil {
-			return simnet.Message{}, fmt.Errorf("peer %s: %w", n.name, err)
-		}
-		rs, err := n.AnswerBatch(queries)
-		if err != nil {
-			return simnet.Message{}, fmt.Errorf("peer %s: %w", n.name, err)
-		}
-		payload, err := EncodeBatchResults(rs)
-		if err != nil {
-			return simnet.Message{}, err
-		}
-		return simnet.Message{Type: MsgSPARQLBatch, Payload: payload}, nil
 	case MsgSPARQLStreamOpen:
 		return n.handleStreamOpen(string(req.Payload))
 	case MsgSPARQLStreamNext:
@@ -108,21 +94,6 @@ func (n *Node) Answer(queryText string) (*sparql.Result, error) {
 	// comparisons read off the same counter
 	n.rowsProduced.Add(int64(res.Len()))
 	return res, nil
-}
-
-// AnswerBatch evaluates several query texts, one result per query. Each
-// counts as one served query; a parse or evaluation failure anywhere fails
-// the whole batch (the batch is one protocol operation).
-func (n *Node) AnswerBatch(queries []string) ([]*sparql.Result, error) {
-	out := make([]*sparql.Result, len(queries))
-	for i, text := range queries {
-		r, err := n.Answer(text)
-		if err != nil {
-			return nil, fmt.Errorf("batch query %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 // Client issues SPARQL queries to nodes over the network.
@@ -153,31 +124,6 @@ func (c *Client) QueryContext(ctx context.Context, addr, queryText string) (*spa
 		return nil, err
 	}
 	return c.Query(addr, queryText)
-}
-
-// QueryBatch ships several query texts to addr in one network message and
-// decodes the per-query results (aligned by index). Like QueryContext, it
-// checks ctx before the call.
-func (c *Client) QueryBatch(ctx context.Context, addr string, queries []string) ([]*sparql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	payload, err := EncodeBatchRequest(queries)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.net.Call(c.from, addr, simnet.Message{Type: MsgSPARQLBatch, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	rs, err := DecodeBatchResults(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rs) != len(queries) {
-		return nil, fmt.Errorf("peer: batch response has %d results for %d queries", len(rs), len(queries))
-	}
-	return rs, nil
 }
 
 // Entry describes one peer known to the registry.

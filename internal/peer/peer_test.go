@@ -1,7 +1,6 @@
 package peer_test
 
 import (
-	"context"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -220,67 +219,5 @@ func TestHTTPServiceGetForm(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != 400 {
 		t.Errorf("missing query status = %d", resp2.StatusCode)
-	}
-}
-
-// One batched message answers several queries, aligned by index, over the
-// simulated network — and each query counts as served.
-func TestNodeBatchQueries(t *testing.T) {
-	_, net, _, nodes := deployFigure1(t)
-	net.Register("client", func(string, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{}, nil
-	})
-	c := peer.NewClient(net, "client")
-	before := net.Stats().Calls
-	rs, err := c.QueryBatch(context.Background(), "peer:source3", []string{
-		`SELECT ?x ?y WHERE { ?x <http://example.org/age> ?y }`,
-		`ASK { <http://xmlns.com/foaf/0.1/Willem_Dafoe> <http://example.org/age> "59" }`,
-		`SELECT ?x WHERE { ?x <http://example.org/age> "59" }`,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.Stats().Calls != before+1 {
-		t.Errorf("batch took %d network calls, want 1", net.Stats().Calls-before)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("results = %d, want 3", len(rs))
-	}
-	if len(rs[0].Rows) != 3 {
-		t.Errorf("query 0 rows = %v", rs[0].Rows)
-	}
-	if rs[1].Form != sparql.FormAsk || !rs[1].True {
-		t.Errorf("query 1 = %+v", rs[1])
-	}
-	if len(rs[2].Rows) != 1 {
-		t.Errorf("query 2 rows = %v", rs[2].Rows)
-	}
-	if nodes[2].QueriesServed() != 3 {
-		t.Errorf("queries served = %d, want 3", nodes[2].QueriesServed())
-	}
-	// one bad query fails the whole batch
-	if _, err := c.QueryBatch(context.Background(), "peer:source3", []string{"garbage"}); err == nil {
-		t.Error("bad batch query should error")
-	}
-}
-
-// The batch protocol also runs over HTTP (BatchContentType bodies).
-func TestHTTPBatch(t *testing.T) {
-	sys := workload.Figure1System()
-	srv := httptest.NewServer(peer.NewHTTPService(sys.Peer("source3")))
-	defer srv.Close()
-	c := &peer.HTTPClient{}
-	rs, err := c.QueryBatch(context.Background(), srv.URL, []string{
-		`SELECT ?x ?y WHERE { ?x <http://example.org/age> ?y }`,
-		`ASK { <http://xmlns.com/foaf/0.1/Willem_Dafoe> <http://example.org/age> "59" }`,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || len(rs[0].Rows) != 3 || !rs[1].True {
-		t.Errorf("batch over HTTP = %+v", rs)
-	}
-	if _, err := c.QueryBatch(context.Background(), srv.URL, []string{"garbage"}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Errorf("expected 400 error, got %v", err)
 	}
 }

@@ -68,7 +68,7 @@ func instrument(n Node) *statsNode {
 			rstats: &statsNode{inner: x.Right},
 		}}
 	case *Project:
-		return &statsNode{inner: &Project{Child: instrument(x.Child), Cols: x.Cols}}
+		return &statsNode{inner: &Project{Child: instrument(x.Child), Cols: x.Cols, As: x.As}}
 	case *Distinct:
 		return &statsNode{inner: &Distinct{Child: instrument(x.Child)}}
 	case *Filter:

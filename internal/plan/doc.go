@@ -115,10 +115,10 @@
 //     parallel Union of per-disjunct plans; answers merge into a TupleSet,
 //     giving the deduplicated, deterministic certain-answer set.
 //   - Combined approach: same as rewriting, over the canonical database.
-//   - Federation (internal/federation): the mediator joins what its
-//     steps fetched (probe answers or pattern extensions) with
-//     HashJoinBindings, the algebra's hash join applied to already-fetched
-//     binding sets; its plans fold RemoteScan leaves with RemoteJoin.
+//   - Federation (internal/federation): the mediator answers by draining
+//     its plan — RemoteScan leaves folded by RemoteJoin steps, which join
+//     what a step fetched (probe answers or the pattern's extension) with
+//     HashJoinBindings, or by HashJoin when the body has no constant.
 //   - SPARQL (internal/sparql): BGPs execute via Execute, FILTER via the
 //     Filter operator, and UNION alternatives fan out in parallel.
 //

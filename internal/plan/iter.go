@@ -465,25 +465,42 @@ func (j *HashJoin) format(b *strings.Builder, depth int) {
 
 // ------------------------------------------------------------------- Project
 
-// Project restricts each binding to the listed variables (π).
+// Project restricts each binding to the listed variables (π). As, when
+// set, names the output columns position for position with Cols, so two
+// columns may read one variable (a rewriting that merged answer variables)
+// and a column may be renamed (ρ).
 type Project struct {
 	Child Node
 	Cols  []string
+	As    []string
+}
+
+// out returns the output column names.
+func (p *Project) out() []string {
+	if p.As != nil {
+		return p.As
+	}
+	return p.Cols
 }
 
 func (p *Project) Vars() []string {
-	out := append([]string(nil), p.Cols...)
+	out := append([]string(nil), p.out()...)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 func (p *Project) Open(ctx context.Context, g rdf.Source) Iterator {
-	return &projectIter{child: p.Child.Open(ctx, g), cols: p.Cols}
+	as := p.out()
+	// a row binding exactly the columns, when no column is renamed or
+	// read twice, is its own projection
+	share := slices.Equal(p.Cols, as) && !repeats(p.Cols)
+	return &projectIter{child: p.Child.Open(ctx, g), cols: p.Cols, as: as, share: share}
 }
 
 type projectIter struct {
-	child Iterator
-	cols  []string
+	child    Iterator
+	cols, as []string
+	share    bool
 }
 
 func (it *projectIter) Next() (pattern.Binding, bool) {
@@ -491,22 +508,49 @@ func (it *projectIter) Next() (pattern.Binding, bool) {
 	if !ok {
 		return nil, false
 	}
+	if it.share && len(mu) == len(it.cols) && bindsAll(mu, it.cols) {
+		return mu, true // rows are never mutated: share it
+	}
 	out := make(pattern.Binding, len(it.cols))
-	for _, c := range it.cols {
+	for i, c := range it.cols {
 		if t, bound := mu[c]; bound {
-			out[c] = t
+			out[it.as[i]] = t
 		}
 	}
 	return out, true
+}
+
+// repeats reports whether some name occurs twice in vars.
+func repeats(vars []string) bool {
+	for i, v := range vars {
+		if slices.Contains(vars[:i], v) {
+			return true
+		}
+	}
+	return false
+}
+
+// bindsAll reports whether mu binds every one of vars.
+func bindsAll(mu pattern.Binding, vars []string) bool {
+	for _, v := range vars {
+		if _, bound := mu[v]; !bound {
+			return false
+		}
+	}
+	return true
 }
 
 func (it *projectIter) Close() { it.child.Close() }
 
 func (p *Project) format(b *strings.Builder, depth int) {
 	indent(b, depth)
+	as := p.out()
 	cols := make([]string, len(p.Cols))
 	for i, c := range p.Cols {
 		cols[i] = "?" + c
+		if as[i] != c {
+			cols[i] += " AS ?" + as[i]
+		}
 	}
 	fmt.Fprintf(b, "Project[%s]\n", strings.Join(cols, " "))
 	p.Child.format(b, depth+1)

@@ -27,12 +27,13 @@ import (
 // the pattern's merged remote extension up front and the rows stream from
 // an in-memory buffer like Bindings. Network errors have no Iterator
 // channel — fetch implementations record them out of band (the mediator's
-// fetcher keeps the first error and the fetch yields no further rows).
+// fetcher keeps the lowest disjunct's error and the fetch yields no
+// further rows).
 type RemoteScan struct {
 	TP pattern.TriplePattern
-	// Sources is the number of candidate peers the registry routes the
-	// pattern to.
-	Sources int
+	// Sources, when non-nil, counts the candidate peers the registry
+	// routes a pattern to; only rendering calls it.
+	Sources func(tp pattern.TriplePattern) int
 	// Batch, when > 0, is the probe batch size: how many bindings one probe
 	// query ships as a native VALUES block joined against a single copy of
 	// the pattern.
@@ -86,7 +87,10 @@ func (s *RemoteScan) Open(ctx context.Context, _ rdf.Source) Iterator {
 
 func (s *RemoteScan) format(b *strings.Builder, depth int) {
 	indent(b, depth)
-	fmt.Fprintf(b, "RemoteScan[%s] sources=%d", s.TP, s.Sources)
+	fmt.Fprintf(b, "RemoteScan[%s]", s.TP)
+	if s.Sources != nil {
+		fmt.Fprintf(b, " sources=%d", s.Sources(s.TP))
+	}
 	if s.FetchStream != nil {
 		b.WriteString(" stream")
 	}

@@ -44,6 +44,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,32 +71,34 @@ type Disjunct struct {
 	Bound map[string]rdf.Term
 }
 
-// Project turns solution mappings of the disjunct's body into certain-answer
-// tuples and adds them to out: answer variables bound to constants by the
-// rewriting are spliced in, tuples with unbound answer variables or blank
-// nodes are dropped (Q_D semantics). This is the single implementation of
-// the disjunct→answer step, shared by local UCQ evaluation and the
-// federation mediator.
-func (d Disjunct) Project(bindings []pattern.Binding, out *pattern.TupleSet) {
-	for _, mu := range bindings {
-		tuple := make(pattern.Tuple, len(d.Query.Free))
-		ok := true
-		for i, f := range d.Query.Free {
-			if c, bound := d.Bound[f]; bound {
-				tuple[i] = c
-				continue
-			}
-			t, has := mu[f]
-			if !has || t.IsBlank() {
-				ok = false
-				break
-			}
-			tuple[i] = t
-		}
-		if ok {
-			out.Add(tuple)
-		}
+// AnswerNode is the disjunct→answer step as operators over a plan of the
+// disjunct's body: splice in the answer variables the rewriting bound to
+// constants (Extend), drop rows with an unbound answer variable or a blank
+// node (Q_D semantics, Filter[certain]), and project onto cols. cols are
+// the UCQ's answer columns (Result.AnswerVars), position for position with
+// the disjunct's own answer variables, which a unifier may have renamed or
+// merged; rows of every disjunct thus share one schema, and one Distinct
+// above the union of the disjuncts removes duplicates for all of them.
+// Local UCQ plans (UCQPlan) and the federation mediator both end in it.
+func (d Disjunct) AnswerNode(body plan.Node, cols []string) plan.Node {
+	if len(d.Bound) > 0 {
+		body = &plan.Extend{Child: body, Bound: d.Bound}
 	}
+	free := d.Query.Free
+	certain := &plan.Filter{Child: body, Pred: func(mu pattern.Binding) bool {
+		for _, f := range free {
+			t, ok := mu[f]
+			if !ok || t.IsBlank() {
+				return false
+			}
+		}
+		return true
+	}, Label: "certain"}
+	proj := &plan.Project{Child: certain, Cols: free}
+	if !slices.Equal(free, cols) {
+		proj.As = cols
+	}
+	return proj
 }
 
 // String renders the disjunct, annotating bound answer variables.
@@ -130,6 +133,15 @@ type Result struct {
 
 // Size returns the number of disjuncts.
 func (r *Result) Size() int { return len(r.Disjuncts) }
+
+// AnswerVars returns the answer variables of the rewritten query — the
+// first disjunct's, which is the query itself — in answer-tuple order.
+func (r *Result) AnswerVars() []string {
+	if len(r.Disjuncts) == 0 {
+		return nil
+	}
+	return r.Disjuncts[0].Query.Free
+}
 
 // UCQ returns the disjuncts without constant bindings as plain pattern
 // queries — sufficient for boolean queries and for display. Disjuncts with
@@ -191,36 +203,17 @@ func evalDisjunct(g *rdf.Graph, d Disjunct, out *pattern.TupleSet) {
 }
 
 // UCQPlan builds the rewriting's evaluation as one operator tree over src:
-// a parallel Union of per-disjunct plans, each splicing the disjunct's
-// bound answer constants back in (Extend) and applying the certain-answer
-// δ·π — Evaluate, expressed as plan operators. The root Distinct's output
-// cardinality equals Evaluate's, which makes the tree suitable for EXPLAIN
-// ANALYZE via plan.ExplainAnalyzeNode.
+// a parallel Union of per-disjunct plans, each ending in the disjunct's
+// AnswerNode — Evaluate, expressed as plan operators. The root Distinct's
+// output cardinality equals Evaluate's, which makes the tree suitable for
+// EXPLAIN ANALYZE via plan.ExplainAnalyzeNode.
 func (r *Result) UCQPlan(src rdf.Source) plan.Node {
+	cols := r.AnswerVars()
 	children := make([]plan.Node, len(r.Disjuncts))
 	for i, d := range r.Disjuncts {
-		children[i] = disjunctNode(src, d)
+		children[i] = d.AnswerNode(plan.Plan(src, d.Query.GP), cols)
 	}
 	return &plan.Distinct{Child: &plan.Union{Children: children}}
-}
-
-// disjunctNode is the operator form of evalDisjunct.
-func disjunctNode(src rdf.Source, d Disjunct) plan.Node {
-	var root plan.Node = plan.Plan(src, d.Query.GP)
-	if len(d.Bound) > 0 {
-		root = &plan.Extend{Child: root, Bound: d.Bound}
-	}
-	free := d.Query.Free
-	certain := &plan.Filter{Child: root, Pred: func(mu pattern.Binding) bool {
-		for _, f := range free {
-			t, ok := mu[f]
-			if !ok || t.IsBlank() {
-				return false
-			}
-		}
-		return true
-	}, Label: "certain"}
-	return &plan.Distinct{Child: &plan.Project{Child: certain, Cols: free}}
 }
 
 // Ask evaluates a boolean rewriting over a database. Each disjunct's plan

@@ -37,14 +37,15 @@
 // probe wave (64 distinct bindings by default) ships as native SPARQL
 // VALUES blocks — one probe query carries a whole batch of bindings joined
 // against a single copy of the pattern, so the peer pays ONE pattern scan
-// per batch instead of one per binding — and a larger one fetches the pattern's extension; a body with no constant to
-// start from fetches its extensions up front, those bound for the same
-// source in one batched message (the peer protocol's sparql-batch
-// operation, also served over HTTP). The wire
+// per batch instead of one per binding — and a larger one fetches the
+// pattern's extension; a body with no constant to start from fetches its
+// extensions up front, concurrently. The federated answer is the drained
+// federated plan, so EXPLAIN ANALYZE shows exactly what it ran. The wire
 // is streamed: peers answer sub-queries as chunked row streams (pulled on
-// demand over the simulated network, NDJSON frames over HTTP), the
-// mediator's joins and the parallel disjunct union consume rows as chunks
-// arrive, and closing a plan early — ASK satisfied, LIMIT reached, a
+// demand over the simulated network, NDJSON frames over HTTP); in a
+// federated plan opened for incremental consumption the mediator's joins
+// and the parallel disjunct union consume rows as chunks arrive, and
+// closing the plan early — ASK satisfied, LIMIT reached, a
 // canceled query — closes the remote streams so peers stop scanning.
 // Old peers that only speak the one-shot document interoperate through
 // version negotiation, and a client that cannot stream gets the one-shot
