@@ -535,7 +535,7 @@ func BenchmarkMicro_BGPEval(b *testing.B) {
 	q := workload.ScaledFilmQuery(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pattern.EvalQuery(g, q)
+		plan.ExecuteQuery(g, q)
 	}
 }
 

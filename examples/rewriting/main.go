@@ -11,7 +11,7 @@ import (
 	"log"
 
 	rps "repro"
-	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rewrite"
 	"repro/internal/sparql"
 	"repro/internal/workload"
@@ -38,7 +38,7 @@ func listing2() {
 	}
 	ask := sparql.FromPatternQuery(bq, ns)
 	fmt.Printf("boolean query for %v:\n  %s\n", tuple, ask)
-	fmt.Printf("over the stored database: %v\n", pattern.Ask(stored, bq))
+	fmt.Printf("over the stored database: %v\n", plan.Ask(stored, bq.GP))
 
 	res, err := rps.Rewrite(bq, sys, rps.RewriteOptions{})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rewrite"
 )
 
@@ -54,7 +55,7 @@ func (r Report) Completeness(reference *pattern.TupleSet) float64 {
 // result).
 func NoIntegration(sys *core.System, q pattern.Query) Report {
 	start := time.Now()
-	answers := pattern.EvalQuery(sys.StoredDatabase(), q)
+	answers := plan.ExecuteQuery(sys.StoredDatabase(), q)
 	return Report{
 		Strategy: "no-integration",
 		Answers:  answers,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/workload"
 )
@@ -169,7 +170,7 @@ func TestCertainAnswersDropBlanks(t *testing.T) {
 		t.Errorf("starring objects are all blanks; got %v", got.Sorted())
 	}
 	// but the blanks are there under star semantics
-	star := pattern.EvalQueryStar(u.Graph, q)
+	star := plan.ExecuteQueryStar(u.Graph, q)
 	if star.Len() == 0 {
 		t.Error("star semantics should see the blanks")
 	}
@@ -477,7 +478,7 @@ func TestAskOverUniversal(t *testing.T) {
 		t.Error("boolean query should hold over the universal solution")
 	}
 	// and false on the stored database alone
-	if pattern.Ask(sys.StoredDatabase(), bq) {
+	if plan.Ask(sys.StoredDatabase(), bq.GP) {
 		t.Error("boolean query should fail over the stored database")
 	}
 	// non-boolean query via Ask

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/tgd"
 )
@@ -367,8 +368,8 @@ func (s *System) CheckSolution(I *rdf.Graph) []Violation {
 	}
 	// item 2: Q_I ⊆ Q′_I for each graph mapping assertion
 	for _, m := range s.G {
-		qi := pattern.EvalQuery(I, m.From)
-		qpi := pattern.EvalQuery(I, m.To)
+		qi := plan.ExecuteQuery(I, m.From)
+		qpi := plan.ExecuteQuery(I, m.To)
 		if !qi.SubsetOf(qpi) {
 			diff := qi.Minus(qpi)
 			out = append(out, Violation{Kind: "mapping",
@@ -385,8 +386,8 @@ func (s *System) CheckSolution(I *rdf.Graph) []Violation {
 			{"predQ", pattern.PredQ},
 			{"objQ", pattern.ObjQ},
 		} {
-			a := pattern.EvalQueryStar(I, probe.mk(e.C))
-			b := pattern.EvalQueryStar(I, probe.mk(e.CPrime))
+			a := plan.ExecuteQueryStar(I, probe.mk(e.C))
+			b := plan.ExecuteQueryStar(I, probe.mk(e.CPrime))
 			if !a.Equal(b) {
 				out = append(out, Violation{Kind: "equivalence",
 					Detail: fmt.Sprintf("%s: %s(%s) != %s(%s)", e, probe.name, e.C, probe.name, e.CPrime)})

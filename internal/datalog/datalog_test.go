@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/workload"
 )
@@ -277,8 +278,8 @@ func TestBooleanQueryAndGraphExport(t *testing.T) {
 		t.Error("exported graph smaller than the stored database")
 	}
 	// the exported graph answers queries like the universal solution
-	if pattern.EvalQuery(g, q).Len() != 6 {
-		t.Errorf("exported graph answers = %d", pattern.EvalQuery(g, q).Len())
+	if plan.ExecuteQuery(g, q).Len() != 6 {
+		t.Errorf("exported graph answers = %d", plan.ExecuteQuery(g, q).Len())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/pattern"
 	"repro/internal/peer"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/simnet"
 	"repro/internal/workload"
@@ -177,7 +178,7 @@ func AblationFederationJoin(bulkSizes []int) (*Table, error) {
 			}
 			st := net.Stats()
 			// no mappings: the certain answers are the stored database's
-			want := pattern.EvalQuery(sys.StoredDatabase(), q)
+			want := plan.ExecuteQuery(sys.StoredDatabase(), q)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", bulk), fmt.Sprintf("%d", left), strategy,
 				fmt.Sprintf("%d", m.RemoteCalls), fmt.Sprintf("%d", m.RowsFetched),

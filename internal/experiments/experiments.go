@@ -17,6 +17,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/pattern"
 	"repro/internal/peer"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/rewrite"
 	"repro/internal/simnet"
@@ -140,7 +141,7 @@ func E2Listing2() (*Table, error) {
 		return nil, err
 	}
 	stored := sys.StoredDatabase()
-	before := pattern.Ask(stored, bq)
+	before := plan.Ask(stored, bq.GP)
 	start := time.Now()
 	res, err := rewrite.Rewrite(bq, sys, rewrite.Options{})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/rdf"
 )
@@ -221,8 +220,8 @@ func EvalTriplePattern(g rdf.Source, tp TriplePattern) []Binding {
 
 // EvalNaive computes ⟦GP⟧_D exactly as Definition 1 states: evaluate each
 // triple pattern independently, then fold the results with ⋈ in textual
-// order. Kept as the executable specification; Eval is the optimised
-// equivalent used elsewhere.
+// order. Kept as the executable specification; internal/plan's Execute is
+// the optimised equivalent used elsewhere.
 func EvalNaive(g rdf.Source, gp GraphPattern) []Binding {
 	if len(gp) == 0 {
 		return []Binding{{}}
@@ -235,34 +234,6 @@ func EvalNaive(g rdf.Source, gp GraphPattern) []Binding {
 		}
 	}
 	return om
-}
-
-// planned, when non-nil, is the evaluator Eval delegates to. The streaming,
-// cost-based executor of internal/plan installs itself here at init time
-// (it cannot be imported from this package, which its operators depend on),
-// so every program linking internal/plan — the library root, the commands,
-// and all answering strategies — routes Eval through the planner. Held in
-// an atomic so a (test-time) swap cannot race with parallel evaluation.
-var planned atomic.Pointer[func(rdf.Source, GraphPattern) []Binding]
-
-// SetPlannedEval installs the optimised evaluator used by Eval. Passing nil
-// restores the built-in greedy strategy (EvalGreedy).
-func SetPlannedEval(f func(rdf.Source, GraphPattern) []Binding) {
-	if f == nil {
-		planned.Store(nil)
-		return
-	}
-	planned.Store(&f)
-}
-
-// Eval computes ⟦GP⟧_D. When the plan-based executor is linked it is the
-// default path (see SetPlannedEval); otherwise evaluation falls back to
-// EvalGreedy. The result is set-equivalent to EvalNaive either way.
-func Eval(g rdf.Source, gp GraphPattern) []Binding {
-	if f := planned.Load(); f != nil {
-		return (*f)(g, gp)
-	}
-	return evalOrdered(g, gp, true)
 }
 
 // EvalGreedy computes ⟦GP⟧_D using index nested-loop evaluation with greedy
@@ -479,46 +450,4 @@ func (s *TupleSet) Sorted() []Tuple {
 
 func sortTuples(ts []Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// EvalQuery computes Q_D: the answer tuples whose components are all in
-// I ∪ L (blank-node tuples are dropped, matching the semantics of labelled
-// nulls).
-func EvalQuery(g rdf.Source, q Query) *TupleSet {
-	return evalQuery(g, q, false)
-}
-
-// EvalQueryStar computes Q*_D: like EvalQuery but tuples may contain blank
-// nodes. Used for the semantics of equivalence mappings (Definition 2).
-func EvalQueryStar(g rdf.Source, q Query) *TupleSet {
-	return evalQuery(g, q, true)
-}
-
-func evalQuery(g rdf.Source, q Query, star bool) *TupleSet {
-	out := NewTupleSet()
-	for _, mu := range Eval(g, q.GP) {
-		tuple := make(Tuple, len(q.Free))
-		ok := true
-		for i, f := range q.Free {
-			t, bound := mu[f]
-			if !bound {
-				ok = false
-				break
-			}
-			if !star && t.IsBlank() {
-				ok = false
-				break
-			}
-			tuple[i] = t
-		}
-		if ok {
-			out.Add(tuple)
-		}
-	}
-	return out
-}
-
-// Ask evaluates a boolean query: true iff the body matches the graph.
-func Ask(g rdf.Source, q Query) bool {
-	return len(Eval(g, q.GP)) > 0
 }

@@ -59,7 +59,7 @@ func instrument(n Node) *statsNode {
 	case *HashJoin:
 		right := instrument(x.Right)
 		return &statsNode{
-			inner: &HashJoin{Left: instrument(x.Left), Right: right, Shared: x.Shared},
+			inner: &HashJoin{Left: instrument(x.Left), Right: right, Shared: x.Shared, Optional: x.Optional},
 			build: right,
 		}
 	case *RemoteJoin:
@@ -191,35 +191,12 @@ func ExplainAnalyzeQuery(ctx context.Context, g rdf.Source, q pattern.Query) (st
 	src := rdf.Freeze(g)
 	var b strings.Builder
 	writeEpoch(&b, src)
-	writeAnswerCacheStatus(&b, src, q, false)
+	writeAnswerCacheStatus(&b, src, q)
 	n, cached := planWithInfo(src, q.GP)
 	if cached {
 		b.WriteString("-- plan: cached (shape hit)\n")
 	}
 	root := instrument(&Distinct{Child: &Project{Child: certainFilter(n, q.Free), Cols: q.Free}})
-	rows := len(Drain(root.Open(ctx, src)))
-	root.format(&b, 0)
-	return b.String(), rows, ctx.Err()
-}
-
-// ExplainAnalyzeUCQ is ExplainAnalyzeQuery over a union of conjunctive
-// queries evaluated as one parallel Union plan: the root Distinct merges
-// the branches, so its row count equals the deduplicated answer count
-// UnionQueries would produce.
-func ExplainAnalyzeUCQ(ctx context.Context, g rdf.Source, qs []pattern.Query) (string, int, error) {
-	src := rdf.Freeze(g)
-	var b strings.Builder
-	writeEpoch(&b, src)
-	for _, q := range qs {
-		if writeAnswerCacheStatus(&b, src, q, false) {
-			break // one line suffices: some branch answer is resident
-		}
-	}
-	children := make([]Node, len(qs))
-	for i, q := range qs {
-		children[i] = &Distinct{Child: &Project{Child: certainFilter(Plan(src, q.GP), q.Free), Cols: q.Free}}
-	}
-	root := instrument(&Distinct{Child: &Union{Children: children}})
 	rows := len(Drain(root.Open(ctx, src)))
 	root.format(&b, 0)
 	return b.String(), rows, ctx.Err()

@@ -100,12 +100,15 @@ func TestExplainAnalyzeHashJoinBuild(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeUCQRows checks the UCQ variant: the root Distinct's
-// count equals UnionQueries' deduplicated answer count.
+// TestExplainAnalyzeUCQRows checks a UCQ analyzed as one tree: the root
+// Distinct over the parallel Union of the branch plans counts exactly
+// UnionQueries' deduplicated answers.
 func TestExplainAnalyzeUCQRows(t *testing.T) {
 	g := chainGraph(24, 4)
 	qs := []pattern.Query{chainQuery(), chainQuery()} // duplicate disjuncts dedup to one
-	s, rows, err := plan.ExplainAnalyzeUCQ(context.Background(), g, qs)
+	src := rdf.Freeze(g)
+	root := &plan.Distinct{Child: &plan.Union{Children: []plan.Node{plan.QueryPlan(src, qs[0]), plan.QueryPlan(src, qs[1])}}}
+	s, rows, err := plan.ExplainAnalyzeNode(context.Background(), src, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +121,13 @@ func TestExplainAnalyzeUCQRows(t *testing.T) {
 	}
 }
 
+// executeCtx drains gp's plan over a snapshot of g under ctx, reporting
+// ctx.Err() beside the (possibly truncated) rows.
+func executeCtx(ctx context.Context, g rdf.Source, gp pattern.GraphPattern) ([]pattern.Binding, error) {
+	src := rdf.Freeze(g)
+	return plan.Drain(plan.Plan(src, gp).Open(ctx, src)), ctx.Err()
+}
+
 // TestExecuteCtxCancellation: a canceled context truncates the stream —
 // far fewer rows than the full result — and reports context.Canceled.
 func TestExecuteCtxCancellation(t *testing.T) {
@@ -127,7 +137,7 @@ func TestExecuteCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before Open: at most one poll interval of rows
-	rows, err := plan.ExecuteCtx(ctx, g, gp)
+	rows, err := executeCtx(ctx, g, gp)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -148,7 +158,7 @@ func TestExecuteCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // let the deadline pass
-	rows, err := plan.ExecuteCtx(ctx, g, gp)
+	rows, err := executeCtx(ctx, g, gp)
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -166,16 +176,16 @@ func TestExecuteCtxDeadline(t *testing.T) {
 }
 
 // TestExecuteCtxBackgroundMatchesExecute: with a background context the
-// ctx-aware path is the plain path.
+// drained plan is Execute's answer.
 func TestExecuteCtxBackgroundMatchesExecute(t *testing.T) {
 	g := chainGraph(500, 10)
 	gp := chainQuery().GP
-	rows, err := plan.ExecuteCtx(context.Background(), g, gp)
+	rows, err := executeCtx(context.Background(), g, gp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := plan.Execute(g, gp); !sameBindings(rows, want) {
-		t.Errorf("ExecuteCtx(Background) diverges from Execute: %d vs %d rows", len(rows), len(want))
+		t.Errorf("drained plan under Background diverges from Execute: %d vs %d rows", len(rows), len(want))
 	}
 }
 

@@ -122,20 +122,11 @@ func cachedExecuteQuery(g rdf.Source, q pattern.Query, star bool) (*pattern.Tupl
 }
 
 // writeAnswerCacheStatus appends the EXPLAIN/ANALYZE answer-cache line when
-// a layer is installed and the exact (query, epoch vector) is resident,
-// reporting whether it did.
-func writeAnswerCacheStatus(b *strings.Builder, src rdf.Source, q pattern.Query, star bool) bool {
+// a layer is installed and the exact (query, epoch vector) is resident.
+func writeAnswerCacheStatus(b *strings.Builder, src rdf.Source, q pattern.Query) {
 	l := answerLayer.Load()
-	if l == nil {
-		return false
-	}
 	snap, ok := src.(*rdf.Snapshot)
-	if !ok {
-		return false
-	}
-	if l.Peek(answerKey(src, q, star), snap.ShardEpochs(nil)) {
+	if l != nil && ok && l.Peek(answerKey(src, q, false), snap.ShardEpochs(nil)) {
 		fmt.Fprintf(b, "-- answer cache: hit (epoch %d)\n", snap.Epoch())
-		return true
 	}
-	return false
 }

@@ -27,7 +27,9 @@
 //     (build) side is hashed once, the left (probe) side streams. Chosen by
 //     the planner when the next pattern shares no variable with the rows
 //     produced so far (a cross product, where re-scanning per row would be
-//     quadratic), and by the federation mediator to join remote extensions.
+//     quadratic), by the federation mediator to join remote extensions,
+//     and by the SPARQL lowering to join a group's children — as a left
+//     outer join (Optional) for OPTIONAL.
 //     When the build side is a cross-shard fan-out scan, the hash table is
 //     built shard-parallel: per-worker maps, merged once in shard order
 //     (build=parallel in EXPLAIN), so the build costs one pass of the
@@ -119,13 +121,12 @@
 //     its plan — RemoteScan leaves folded by RemoteJoin steps, which join
 //     what a step fetched (probe answers or the pattern's extension) with
 //     HashJoinBindings, or by HashJoin when the body has no constant.
-//   - SPARQL (internal/sparql): BGPs execute via Execute, FILTER via the
-//     Filter operator, and UNION alternatives fan out in parallel.
+//   - SPARQL (internal/sparql): every query lowers through Query.Plan to
+//     one tree — a group's BGP planned here, its other children joined by
+//     HashJoin (Optional for OPTIONAL), UNION as Union, VALUES as
+//     InlineBindings, FILTER as Filter — which one-shot answers drain and
+//     the streaming wire pulls row by row.
 //
-// pattern.Eval cannot import this package (plan depends on pattern's
-// types), so pattern exposes a pluggable evaluator hook that plan installs
-// in its init; any program linking plan — the library root, every command
-// and every consumer package — therefore routes pattern.Eval through the
-// planner, while pattern.EvalNaive remains the executable specification
-// and equivalence oracle.
+// pattern.EvalNaive remains the executable specification and equivalence
+// oracle of Execute.
 package plan

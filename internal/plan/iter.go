@@ -34,7 +34,7 @@ type Iterator interface {
 // iterator stops producing tuples promptly but not instantly. Cancellation
 // truncates the stream — Next simply returns false — and callers that need
 // to distinguish exhaustion from abandonment check ctx.Err() afterwards,
-// as the ExecuteCtx facade does.
+// as sparql's EvalCtx does.
 type Node interface {
 	Open(ctx context.Context, src rdf.Source) Iterator
 	// Vars returns the sorted variable names the operator's rows bind.
@@ -358,6 +358,9 @@ type HashJoin struct {
 	// tables concurrently and merges them once, in shard order. Set by the
 	// planner when the build side is an IndexScan with Fanout > 1.
 	ParallelBuild bool
+	// Optional makes the join a left outer join (SPARQL's OPTIONAL): a
+	// probe row with no compatible build row is emitted unextended.
+	Optional bool
 }
 
 func (j *HashJoin) Vars() []string {
@@ -386,7 +389,7 @@ func (j *HashJoin) Open(ctx context.Context, g rdf.Source) Iterator {
 		}
 		rit.Close()
 	}
-	return &hashJoinIter{left: j.Left.Open(ctx, g), table: table, shared: j.Shared}
+	return &hashJoinIter{left: j.Left.Open(ctx, g), table: table, shared: j.Shared, optional: j.Optional}
 }
 
 // buildParallel drains the build-side scan's shard partitions concurrently,
@@ -423,12 +426,16 @@ func (j *HashJoin) buildParallel(ctx context.Context, g rdf.Source, rs *IndexSca
 }
 
 type hashJoinIter struct {
-	left   Iterator
-	table  map[string][]pattern.Binding
-	shared []string
-	cur    pattern.Binding
-	bucket []pattern.Binding
-	i      int
+	left     Iterator
+	table    map[string][]pattern.Binding
+	shared   []string
+	optional bool
+	cur      pattern.Binding
+	bucket   []pattern.Binding
+	i        int
+	// unmatched: cur is a left outer join's probe row that no build row
+	// has extended yet
+	unmatched bool
 }
 
 func (it *hashJoinIter) Next() (pattern.Binding, bool) {
@@ -437,8 +444,13 @@ func (it *hashJoinIter) Next() (pattern.Binding, bool) {
 			b := it.bucket[it.i]
 			it.i++
 			if pattern.Compatible(it.cur, b) {
+				it.unmatched = false
 				return pattern.Union(it.cur, b), true
 			}
+		}
+		if it.unmatched {
+			it.unmatched = false
+			return it.cur, true
 		}
 		lmu, ok := it.left.Next()
 		if !ok {
@@ -447,6 +459,7 @@ func (it *hashJoinIter) Next() (pattern.Binding, bool) {
 		it.cur = lmu
 		it.bucket = it.table[pattern.BindingKey(lmu, it.shared)]
 		it.i = 0
+		it.unmatched = it.optional
 	}
 }
 
@@ -455,6 +468,9 @@ func (it *hashJoinIter) Close() { it.left.Close() }
 func (j *HashJoin) format(b *strings.Builder, depth int) {
 	indent(b, depth)
 	fmt.Fprintf(b, "HashJoin[on %s]", joinLabel(j.Shared))
+	if j.Optional {
+		b.WriteString(" optional")
+	}
 	if j.ParallelBuild {
 		b.WriteString(" build=parallel")
 	}

@@ -333,18 +333,8 @@ func estimateRows(st *statsCtx, tp pattern.TriplePattern, base float64, bound ma
 // every join — runs against one point-in-time snapshot: concurrent writers
 // can never tear a join mid-flight, and long scans never block them.
 func Execute(g rdf.Source, gp pattern.GraphPattern) []pattern.Binding {
-	out, _ := ExecuteCtx(context.Background(), g, gp)
-	return out
-}
-
-// ExecuteCtx is Execute under a request context: the plan's operators poll
-// ctx and stop producing rows once it is canceled. On cancellation the
-// partial rows drained so far are returned alongside ctx.Err(), so callers
-// can distinguish a truncated result from a complete one.
-func ExecuteCtx(ctx context.Context, g rdf.Source, gp pattern.GraphPattern) ([]pattern.Binding, error) {
 	src := rdf.Freeze(g)
-	out := Drain(Plan(src, gp).Open(ctx, src))
-	return out, ctx.Err()
+	return Drain(Plan(src, gp).Open(context.Background(), src))
 }
 
 // Ask reports whether the pattern has at least one solution, stopping at
@@ -498,7 +488,7 @@ func ExplainQuery(g rdf.Source, q pattern.Query) string {
 	src := rdf.Freeze(g)
 	var b strings.Builder
 	writeEpoch(&b, src)
-	writeAnswerCacheStatus(&b, src, q, false)
+	writeAnswerCacheStatus(&b, src, q)
 	n, cached := planWithInfo(src, q.GP)
 	if cached {
 		b.WriteString("-- plan: cached (shape hit)\n")
@@ -520,7 +510,8 @@ func Format(n Node) string {
 // hashed on the collision-free key of the shared variables and the probe
 // side streams. When either set has bindings with differing domains the
 // hash key is unsound, so it delegates to pattern.Join's nested-loop
-// fallback. Used by the federation mediator to join remote extensions.
+// fallback. Used by RemoteJoin, the federation mediator's join step, to
+// join a step's left rows with what it fetched.
 func HashJoinBindings(left, right []pattern.Binding) []pattern.Binding {
 	if len(left) == 0 || len(right) == 0 {
 		return nil
@@ -534,10 +525,4 @@ func HashJoinBindings(left, right []pattern.Binding) []pattern.Binding {
 		Shared: pattern.SharedVars(left[0], right[0]),
 	}
 	return Drain(j.Open(context.Background(), nil))
-}
-
-// init installs the planner as pattern.Eval's evaluator, making
-// plan.Execute the default path for every program linking this package.
-func init() {
-	pattern.SetPlannedEval(Execute)
 }

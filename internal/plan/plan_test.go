@@ -349,9 +349,54 @@ func TestExecuteQuerySemantics(t *testing.T) {
 	if got := plan.ExecuteQueryStar(g, q).Len(); got != 2 {
 		t.Errorf("Q*_D answers = %d, want 2", got)
 	}
-	want := pattern.EvalQuery(g, q)
+	// the projection of the naive evaluation, blank tuples dropped
+	want := pattern.NewTupleSet()
+	for _, mu := range pattern.EvalNaive(g, q.GP) {
+		if !mu["x"].IsBlank() {
+			want.Add(pattern.Tuple{mu["x"]})
+		}
+	}
 	if !plan.ExecuteQuery(g, q).Equal(want) {
-		t.Error("ExecuteQuery disagrees with pattern.EvalQuery")
+		t.Error("ExecuteQuery disagrees with the projected naive evaluation")
+	}
+}
+
+// TestQuerySemantics evaluates a three-pattern chain query to its answer
+// tuples: the two actors of the film, each with their age.
+func TestQuerySemantics(t *testing.T) {
+	iri := func(s string) rdf.Term { return rdf.IRI("http://e/" + s) }
+	g := rdf.NewGraph()
+	for _, tr := range []rdf.Triple{
+		{S: iri("spiderman"), P: iri("starring"), O: iri("toby")},
+		{S: iri("spiderman"), P: iri("starring"), O: iri("kirsten")},
+		{S: iri("toby"), P: iri("artist"), O: iri("tobyActor")},
+		{S: iri("kirsten"), P: iri("artist"), O: iri("kirstenActor")},
+		{S: iri("tobyActor"), P: iri("age"), O: rdf.Literal("39")},
+		{S: iri("kirstenActor"), P: iri("age"), O: rdf.Literal("32")},
+	} {
+		g.Add(tr)
+	}
+	q := pattern.MustQuery([]string{"x", "y"}, pattern.GraphPattern{
+		pattern.TP(pattern.C(iri("spiderman")), pattern.C(iri("starring")), pattern.V("z")),
+		pattern.TP(pattern.V("z"), pattern.C(iri("artist")), pattern.V("x")),
+		pattern.TP(pattern.V("x"), pattern.C(iri("age")), pattern.V("y")),
+	})
+	res := plan.ExecuteQuery(g, q)
+	if res.Len() != 2 {
+		t.Fatalf("got %d answers: %v", res.Len(), res.Sorted())
+	}
+	if want := (pattern.Tuple{iri("tobyActor"), rdf.Literal("39")}); !res.Has(want) {
+		t.Errorf("missing tuple %v", want)
+	}
+	bq, err := q.Substitute(pattern.Tuple{iri("tobyActor"), rdf.Literal("39")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Ask(g, bq.GP) {
+		t.Error("true tuple should verify")
+	}
+	if bq, _ := q.Substitute(pattern.Tuple{iri("tobyActor"), rdf.Literal("99")}); plan.Ask(g, bq.GP) {
+		t.Error("false tuple should not verify")
 	}
 }
 
@@ -399,7 +444,7 @@ func TestUnionPlanFormat(t *testing.T) {
 		pattern.MustQuery([]string{"x"}, pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(p0), pattern.V("y"))}),
 		pattern.MustQuery([]string{"x"}, pattern.GraphPattern{pattern.TP(pattern.V("x"), pattern.C(p1), pattern.V("y"))}),
 	}
-	n := plan.UnionPlan(g, qs)
+	n := &plan.Distinct{Child: &plan.Union{Children: []plan.Node{plan.QueryPlan(g, qs[0]), plan.QueryPlan(g, qs[1])}}}
 	want := `Distinct
   Union[parallel branches=2]
     Distinct
@@ -476,29 +521,30 @@ func TestFilterProjectDistinct(t *testing.T) {
 	}
 }
 
-// TestPlannedEvalHook verifies the init-time registration: with this
-// package linked, pattern.Eval routes through the installed evaluator.
-func TestPlannedEvalHook(t *testing.T) {
-	marker := []pattern.Binding{{"hook": rdf.Literal("hit")}}
-	pattern.SetPlannedEval(func(rdf.Source, pattern.GraphPattern) []pattern.Binding {
-		return marker
-	})
-	defer pattern.SetPlannedEval(plan.Execute)
-	got := pattern.Eval(rdf.NewGraph(), nil)
-	if len(got) != 1 || got[0]["hook"] != rdf.Literal("hit") {
-		t.Fatalf("pattern.Eval did not route through the installed evaluator: %v", got)
+// TestHashJoinOptional pins the left outer join: every probe row survives,
+// extended by each compatible build row and unextended when none is —
+// whether the join hashes on ?x or leaves it to the compatibility test —
+// and the instrumented copy keeps the outer join.
+func TestHashJoinOptional(t *testing.T) {
+	a, b, c := rdf.IRI("http://e/a"), rdf.IRI("http://e/b"), rdf.IRI("http://e/c")
+	left := &plan.Bindings{Rows: []pattern.Binding{{"x": a}, {"x": b}, {"x": c}}}
+	right := &plan.Bindings{Rows: []pattern.Binding{
+		{"x": a, "y": rdf.Literal("1")}, {"x": a, "y": rdf.Literal("2")}, {"x": b, "y": rdf.Literal("3")},
+	}}
+	want := []pattern.Binding{
+		{"x": a, "y": rdf.Literal("1")}, {"x": a, "y": rdf.Literal("2")}, {"x": b, "y": rdf.Literal("3")}, {"x": c},
 	}
-}
-
-// TestEvalDefaultIsPlanner checks that, as linked in this binary,
-// pattern.Eval and plan.Execute produce identical results (the hook is
-// installed by plan's init).
-func TestEvalDefaultIsPlanner(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 50; i++ {
-		g, gp := randomCase(rng)
-		if !sameBindings(pattern.Eval(g, gp), plan.Execute(g, gp)) {
-			t.Fatalf("pattern.Eval diverges from plan.Execute on case %d", i)
+	for _, shared := range [][]string{{"x"}, nil} {
+		j := &plan.HashJoin{Left: left, Right: right, Shared: shared, Optional: true}
+		if got := plan.Drain(j.Open(context.Background(), nil)); !sameBindings(got, want) {
+			t.Errorf("on %v: optional join = %v, want %v", shared, got, want)
+		}
+		inst := plan.Instrument(j)
+		if got := plan.Drain(inst.Open(context.Background(), nil)); !sameBindings(got, want) {
+			t.Errorf("on %v: instrumented optional join = %v, want %v", shared, got, want)
+		}
+		if s := plan.Format(inst); !strings.Contains(s, "optional") {
+			t.Errorf("instrumented plan lost the outer join:\n%s", s)
 		}
 	}
 }

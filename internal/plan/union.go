@@ -68,15 +68,3 @@ func UnionQueries(g rdf.Source, qs []pattern.Query, star bool) *pattern.TupleSet
 	}
 	return out
 }
-
-// UnionPlan builds the parallel Union node over the per-branch π·δ plans of
-// a UCQ — a node-level alternative to UnionQueries for callers that want
-// binding streams rather than answer tuples (UnionQueries additionally
-// applies the Q_D blank-node semantics, which has no operator equivalent).
-func UnionPlan(g rdf.Source, qs []pattern.Query) Node {
-	children := make([]Node, len(qs))
-	for i, q := range qs {
-		children[i] = QueryPlan(g, q)
-	}
-	return &Distinct{Child: &Union{Children: children}}
-}

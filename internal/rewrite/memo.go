@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -225,7 +226,7 @@ func instantiate(r *Result, consts []rdf.Term) *Result {
 		for j, tp := range d.Query.GP {
 			gp[j] = pattern.TP(elem(tp.S), elem(tp.P), elem(tp.O))
 		}
-		nd := Disjunct{Query: pattern.Query{Free: append([]string(nil), d.Query.Free...), GP: gp}}
+		nd := Disjunct{Query: pattern.Query{Free: append([]string(nil), d.Query.Free...), GP: gp}, Resources: maps.Clone(d.Resources)}
 		if d.Bound != nil {
 			nd.Bound = make(map[string]rdf.Term, len(d.Bound))
 			for v, t := range d.Bound {

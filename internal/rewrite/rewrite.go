@@ -43,7 +43,9 @@
 package rewrite
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -69,12 +71,18 @@ type Options struct {
 type Disjunct struct {
 	Query pattern.Query
 	Bound map[string]rdf.Term
+	// Resources are the body variables that a GMA body's answer positions
+	// put there (TripleTGD.Resources): the chase fires that GMA only on
+	// resources, so the disjunct matches only where they bind no blank
+	// node.
+	Resources map[string]bool
 }
 
 // AnswerNode is the disjunct→answer step as operators over a plan of the
 // disjunct's body: splice in the answer variables the rewriting bound to
 // constants (Extend), drop rows with an unbound answer variable or a blank
-// node (Q_D semantics, Filter[certain]), and project onto cols. cols are
+// node (Q_D semantics) or with a blank node on a resource variable
+// (Filter[certain]), and project onto cols. cols are
 // the UCQ's answer columns (Result.AnswerVars), position for position with
 // the disjunct's own answer variables, which a unifier may have renamed or
 // merged; rows of every disjunct thus share one schema, and one Distinct
@@ -84,11 +92,16 @@ func (d Disjunct) AnswerNode(body plan.Node, cols []string) plan.Node {
 	if len(d.Bound) > 0 {
 		body = &plan.Extend{Child: body, Bound: d.Bound}
 	}
-	free := d.Query.Free
+	free, resources := d.Query.Free, d.Resources
 	certain := &plan.Filter{Child: body, Pred: func(mu pattern.Binding) bool {
 		for _, f := range free {
 			t, ok := mu[f]
 			if !ok || t.IsBlank() {
+				return false
+			}
+		}
+		for v := range resources {
+			if mu[v].IsBlank() {
 				return false
 			}
 		}
@@ -155,58 +168,27 @@ func (r *Result) UCQ() []pattern.Query {
 }
 
 // Evaluate evaluates the rewriting over a database (normally the stored
-// database) and returns the union of the disjuncts' certain-answer tuples.
-// The disjuncts are the branches of plan's parallel Union: each is planned
-// and executed on its own goroutine (bounded by GOMAXPROCS) and the
-// per-branch tuple sets merge deterministically in branch order.
+// database) and returns the union of the disjuncts' certain-answer tuples:
+// it drains UCQPlan over a snapshot of g, whose disjuncts run as the
+// branches of plan's parallel Union.
 func (r *Result) Evaluate(g *rdf.Graph) *pattern.TupleSet {
-	sets := make([]*pattern.TupleSet, len(r.Disjuncts))
-	plan.Fanout(len(r.Disjuncts), func(i int) {
-		s := pattern.NewTupleSet()
-		evalDisjunct(g, r.Disjuncts[i], s)
-		sets[i] = s
-	})
+	src := rdf.Freeze(g)
+	cols := r.AnswerVars()
 	out := pattern.NewTupleSet()
-	for _, s := range sets {
-		out.Merge(s)
+	for _, mu := range plan.Drain(r.UCQPlan(src).Open(context.Background(), src)) {
+		t := make(pattern.Tuple, len(cols))
+		for i, c := range cols {
+			t[i] = mu[c]
+		}
+		out.Add(t)
 	}
 	return out
 }
 
-func evalDisjunct(g *rdf.Graph, d Disjunct, out *pattern.TupleSet) {
-	if len(d.Bound) == 0 {
-		out.Merge(plan.ExecuteQuery(g, d.Query))
-		return
-	}
-	// evaluate with the unbound answer variables only, then splice the
-	// constants back into each tuple
-	var unbound []string
-	for _, f := range d.Query.Free {
-		if _, ok := d.Bound[f]; !ok {
-			unbound = append(unbound, f)
-		}
-	}
-	inner := pattern.Query{Free: unbound, GP: d.Query.GP}
-	for _, t := range plan.ExecuteQuery(g, inner).Sorted() {
-		full := make(pattern.Tuple, len(d.Query.Free))
-		j := 0
-		for i, f := range d.Query.Free {
-			if c, ok := d.Bound[f]; ok {
-				full[i] = c
-			} else {
-				full[i] = t[j]
-				j++
-			}
-		}
-		out.Add(full)
-	}
-}
-
 // UCQPlan builds the rewriting's evaluation as one operator tree over src:
 // a parallel Union of per-disjunct plans, each ending in the disjunct's
-// AnswerNode — Evaluate, expressed as plan operators. The root Distinct's
-// output cardinality equals Evaluate's, which makes the tree suitable for
-// EXPLAIN ANALYZE via plan.ExplainAnalyzeNode.
+// AnswerNode. The root Distinct's output is Evaluate's answer set, which
+// makes the tree suitable for EXPLAIN ANALYZE via plan.ExplainAnalyzeNode.
 func (r *Result) UCQPlan(src rdf.Source) plan.Node {
 	cols := r.AnswerVars()
 	children := make([]plan.Node, len(r.Disjuncts))
@@ -356,14 +338,7 @@ type cq struct {
 }
 
 func (q cq) toDisjunct() Disjunct {
-	d := Disjunct{Query: pattern.Query{Free: q.free, GP: q.atoms}}
-	if len(q.bound) > 0 {
-		d.Bound = make(map[string]rdf.Term, len(q.bound))
-		for k, v := range q.bound {
-			d.Bound[k] = v
-		}
-	}
-	return d
+	return Disjunct{Query: pattern.Query{Free: q.free, GP: q.atoms}, Bound: maps.Clone(q.bound), Resources: maps.Clone(q.resources)}
 }
 
 // RewriteTGDs computes the UCQ rewriting of q under an explicit dependency

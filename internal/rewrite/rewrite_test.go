@@ -8,6 +8,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/rewrite"
 	"repro/internal/workload"
@@ -55,7 +56,7 @@ func TestListing2BooleanRewriting(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored := sys.StoredDatabase()
-	if pattern.Ask(stored, bq) {
+	if plan.Ask(stored, bq.GP) {
 		t.Fatal("boolean query must be false over the stored database")
 	}
 	res, err := rewrite.Rewrite(bq, sys, rewrite.Options{})

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,11 +26,12 @@ type Result struct {
 }
 
 // Eval evaluates the query over a graph under the fragment's semantics:
-// BGPs per Definition 1, UNION as set union of solution multisets, filters
-// as post-selection, SELECT as projection (bag; set under DISTINCT). The
-// source is frozen once up front, so the entire query — every BGP, union
-// alternative and optional — evaluates against one point-in-time snapshot
-// and concurrent bulk loads can neither stall nor tear it.
+// BGPs per Definition 1, joins of sub-patterns, OPTIONAL as a left outer
+// join of compatible mappings, UNION as bag union, FILTER as selection,
+// SELECT as projection (bag; set under DISTINCT), rows sorted. The whole
+// query is one operator tree (see Plan) run against one point-in-time
+// snapshot of the source, so concurrent bulk loads can neither stall nor
+// tear it.
 func (q *Query) Eval(g rdf.Source) *Result {
 	res, _ := q.EvalCtx(context.Background(), g)
 	return res
@@ -48,8 +50,7 @@ func (q *Query) EvalCtx(ctx context.Context, g rdf.Source) (*Result, error) {
 }
 
 func (q *Query) evalUncached(ctx context.Context, g rdf.Source) (*Result, error) {
-	sols := evalExpr(ctx, g, q.Where)
-	res := q.assemble(sols)
+	res := q.assemble(plan.Drain(q.Plan(g, false).Open(ctx, g)))
 	return res, ctx.Err()
 }
 
@@ -81,94 +82,124 @@ func (q *Query) assemble(sols []pattern.Binding) *Result {
 	return res
 }
 
-// evalExpr returns the solution mappings of the expression. BGPs run
-// through the streaming planner, joins between sub-expressions through the
-// algebra's hash join, and FILTER through its σ operator. Cancellation
-// truncates the streams; EvalCtx surfaces ctx.Err() to the caller.
-func evalExpr(ctx context.Context, g rdf.Source, e Expr) []pattern.Binding {
+// Plan lowers the query's pattern to one operator tree over g, one
+// relational operator per construct: a group's BGP through the planner,
+// each further child joined by a HashJoin with the child on the build
+// side (a left outer HashJoin for OPTIONAL), UNION as a parallel Union,
+// VALUES as InlineBindings, FILTER as σ over the group. stream selects
+// the Union form: a consumer that may stop early (EvalStream) takes rows
+// as the branches produce them; one that drains everything (EvalCtx)
+// takes the deterministic branch-order replay.
+func (q *Query) Plan(g rdf.Source, stream bool) plan.Node {
+	n, _ := lower(g, q.Where, stream)
+	return n
+}
+
+// lower returns e's operator tree and the sorted variables that every one
+// of its rows binds. Only those may key a hash join: hashing on a variable
+// some row leaves unbound would split compatible rows into different
+// buckets, so every other common variable is left to the join's
+// compatibility test.
+func lower(g rdf.Source, e Expr, stream bool) (plan.Node, []string) {
 	switch x := e.(type) {
 	case *Group:
-		if len(x.BGP) > 0 {
-			patternScans.Add(1)
-		}
-		sols, _ := plan.ExecuteCtx(ctx, g, x.BGP)
-		for _, child := range x.Children {
-			if opt, ok := child.(*Optional); ok {
-				sols = leftJoin(sols, evalExpr(ctx, g, opt.Inner))
-				continue
-			}
-			if len(sols) == 0 {
-				return nil
-			}
-			sols = plan.HashJoinBindings(sols, evalExpr(ctx, g, child))
-		}
-		if len(x.Filters) > 0 {
-			filters := x.Filters
-			f := &plan.Filter{
-				Child: &plan.Bindings{Rows: sols, Label: "group"},
-				Pred: func(mu pattern.Binding) bool {
-					for _, f := range filters {
-						if !f.Holds(mu) {
-							return false
-						}
-					}
-					return true
-				},
-				Label: "FILTER",
-			}
-			sols = plan.Drain(f.Open(ctx, g))
-		}
-		return sols
+		return lowerGroup(g, x, stream)
 	case *Union:
-		// fan the alternatives out in parallel; appending branch results in
-		// alternative order keeps the bag deterministic
-		results := make([][]pattern.Binding, len(x.Alternatives))
-		plan.Fanout(len(x.Alternatives), func(i int) {
-			results[i] = evalExpr(ctx, g, x.Alternatives[i])
-		})
-		var out []pattern.Binding
-		for _, r := range results {
-			out = append(out, r...)
+		children := make([]plan.Node, len(x.Alternatives))
+		var certain []string
+		for i, alt := range x.Alternatives {
+			var vars []string
+			children[i], vars = lower(g, alt, stream)
+			if i == 0 {
+				certain = vars
+			} else {
+				certain = intersect(certain, vars)
+			}
 		}
-		return out
+		return &plan.Union{Children: children, Stream: stream}, certain
 	case *Optional:
-		// a bare OPTIONAL at the top level behaves like its inner pattern
-		// left-joined with the empty solution
-		return leftJoin([]pattern.Binding{{}}, evalExpr(ctx, g, x.Inner))
-	case *Values:
-		return x.Bindings()
+		// a bare OPTIONAL left-joins the empty solution
+		inner, _ := lower(g, x.Inner, stream)
+		return &plan.HashJoin{Left: plan.Unit{}, Right: inner, Optional: true}, nil
 	default:
-		return nil
+		v := e.(*Values)
+		rows := v.Bindings()
+		var certain []string
+		for _, name := range slices.Compact(v.Vars()) {
+			if !slices.ContainsFunc(rows, func(mu pattern.Binding) bool { _, ok := mu[name]; return !ok }) {
+				certain = append(certain, name) // no row leaves it UNDEF
+			}
+		}
+		return &plan.InlineBindings{Names: v.Names, Rows: rows}, certain
 	}
 }
 
+// lowerGroup starts from the group's BGP — or, without one, from its first
+// child unless that is an OPTIONAL, or from the empty solution — and joins
+// the remaining children in order, as SPARQL's group semantics does.
+func lowerGroup(g rdf.Source, grp *Group, stream bool) (plan.Node, []string) {
+	var root plan.Node = plan.Unit{}
+	var certain []string
+	children := grp.Children
+	if len(grp.BGP) > 0 {
+		patternScans.Add(1)
+		root, certain = plan.Plan(g, grp.BGP), grp.BGP.Vars()
+	} else if len(children) > 0 {
+		if _, opt := children[0].(*Optional); !opt {
+			root, certain = lower(g, children[0], stream)
+			children = children[1:]
+		}
+	}
+	for _, child := range children {
+		opt, isOpt := child.(*Optional)
+		if isOpt {
+			child = opt.Inner
+		}
+		right, vars := lower(g, child, stream)
+		root = &plan.HashJoin{Left: root, Right: right, Shared: intersect(certain, vars), Optional: isOpt}
+		if !isOpt {
+			certain = append(certain, vars...)
+			slices.Sort(certain)
+			certain = slices.Compact(certain)
+		}
+	}
+	if len(grp.Filters) > 0 {
+		filters := grp.Filters
+		root = &plan.Filter{
+			Child: root,
+			Pred: func(mu pattern.Binding) bool {
+				for _, f := range filters {
+					if !f.Holds(mu) {
+						return false
+					}
+				}
+				return true
+			},
+			Label: "FILTER",
+		}
+	}
+	return root, certain
+}
+
+// intersect returns the elements of sorted a that sorted b also holds.
+func intersect(a, b []string) []string {
+	var out []string
+	for _, v := range a {
+		if _, found := slices.BinarySearch(b, v); found {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // patternScans counts basic-graph-pattern evaluations — one per Group BGP
-// run through the planner, whatever the transport. The federation tests pin
+// lowered into a plan, whatever the transport. The federation tests pin
 // the VALUES probe rendering with it: a probe batch of N bindings is one
 // pattern scan, where the legacy UNION-of-filtered-copies rendering is N.
 var patternScans atomic.Int64
 
 // PatternScans reports the process-wide number of BGP evaluations.
 func PatternScans() int64 { return patternScans.Load() }
-
-// leftJoin implements SPARQL's OPTIONAL: every left solution survives,
-// extended by each compatible right solution when any exists.
-func leftJoin(left, right []pattern.Binding) []pattern.Binding {
-	var out []pattern.Binding
-	for _, l := range left {
-		matched := false
-		for _, r := range right {
-			if pattern.Compatible(l, r) {
-				out = append(out, pattern.Union(l, r))
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out
-}
 
 // Format renders a result table using the namespace table for compact IRIs.
 // SELECT results are printed one row per line with tab-separated columns;

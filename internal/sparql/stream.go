@@ -2,18 +2,16 @@ package sparql
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/pattern"
-	"repro/internal/plan"
 	"repro/internal/rdf"
 )
 
-// RowStream is a pull iterator over a query's solutions, the evaluator
-// behind the peer package's streaming wire protocol: rows are produced on
-// demand, so a consumer that stops early (an ASK probe satisfied by the
-// first row, a LIMIT reached, a canceled federated query) stops the
-// underlying scan instead of draining it.
+// RowStream is a pull iterator over a query's projected solutions. Rows
+// are produced on demand by the query's operator tree, so a consumer that
+// stops early (an ASK satisfied by its first row, a LIMIT reached, a
+// canceled federated query) stops the underlying scans instead of draining
+// them. The peer package's streaming wire protocol serves it.
 type RowStream struct {
 	// Form echoes the query form.
 	Form Form
@@ -58,124 +56,23 @@ func (s *RowStream) Close() {
 	}
 }
 
-// streamableGroup reports whether the query is in the directly streamable
-// fragment: a single group whose children are all VALUES blocks with a
-// uniform binding domain (the hash-join build keys must cover every shared
-// variable of every row). Everything else falls back to the materialised
-// evaluator inside EvalStream.
-func (q *Query) streamableGroup() (*Group, bool) {
-	g, ok := q.Where.(*Group)
-	if !ok {
-		return nil, false
-	}
-	for _, child := range g.Children {
-		v, ok := child.(*Values)
-		if !ok {
-			return nil, false
-		}
-		if !pattern.UniformDomain(v.Bindings()) {
-			return nil, false
-		}
-	}
-	return g, true
-}
-
-// StreamPlan lowers a streamable query to its operator tree: the group's
-// BGP through the planner, each VALUES block as a plan.InlineBindings leaf
-// on the build side of a hash join (the pattern scan streams through the
-// probe side — the batch is evaluated with ONE pattern scan, however many
-// bindings it carries), filters as σ. ok is false when the query is outside
-// the streamable fragment.
-func (q *Query) StreamPlan(g rdf.Source) (plan.Node, bool) {
-	grp, ok := q.streamableGroup()
-	if !ok {
-		return nil, false
-	}
-	root := plan.Plan(g, grp.BGP)
-	for _, child := range grp.Children {
-		v := child.(*Values)
-		rows := v.Bindings()
-		inline := &plan.InlineBindings{Names: append([]string(nil), v.Names...), Rows: rows}
-		root = &plan.HashJoin{
-			Left:   root,
-			Right:  inline,
-			Shared: sharedVars(root.Vars(), domainOf(rows)),
-		}
-	}
-	if len(grp.Filters) > 0 {
-		filters := grp.Filters
-		root = &plan.Filter{
-			Child: root,
-			Pred: func(mu pattern.Binding) bool {
-				for _, f := range filters {
-					if !f.Holds(mu) {
-						return false
-					}
-				}
-				return true
-			},
-			Label: "FILTER",
-		}
-	}
-	return root, true
-}
-
-// domainOf returns the (uniform) bound-variable domain of rows, sorted.
-func domainOf(rows []pattern.Binding) []string {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(rows[0]))
-	for v := range rows[0] {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sharedVars intersects two sorted variable lists.
-func sharedVars(a, b []string) []string {
-	set := make(map[string]bool, len(a))
-	for _, v := range a {
-		set[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if set[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // EvalStream evaluates the query as a pull stream over one point-in-time
-// snapshot of g. Queries in the streamable fragment (see StreamPlan) run
-// the plan lazily — rows reach the caller as the scan produces them, and
-// closing the stream (or reaching LIMIT) abandons the rest of the scan. ASK
-// evaluates to the first row and stops. Queries outside the fragment are
-// evaluated through the (cached) materialised evaluator and replayed as a
-// stream; err is the evaluation error in that case.
+// snapshot of g: it opens the same operator tree as Eval (Plan, with
+// streaming unions) and hands rows to the caller as the tree produces
+// them. Closing the stream, or reaching LIMIT, closes the tree and
+// abandons the rest of its scans; ASK evaluates to the first row and
+// stops. err is ctx.Err() when ctx is already done.
 //
-// Streamed SELECT rows arrive in scan order, not the sorted order of Eval,
-// and bypass the answer cache; the row set (bag, or set under DISTINCT) is
-// identical.
+// Streamed SELECT rows arrive in production order, not the sorted order
+// of Eval, and bypass the answer cache; the row set (bag, or set under
+// DISTINCT) is identical, though LIMIT may keep different rows.
 func (q *Query) EvalStream(ctx context.Context, g rdf.Source) (*RowStream, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	g = rdf.Freeze(g)
 	vars := q.ProjectedVars()
-	node, ok := q.StreamPlan(g)
-	if !ok {
-		res, err := q.EvalCtx(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		return streamResult(res), nil
-	}
-	grp, _ := q.streamableGroup()
-	if len(grp.BGP) > 0 {
-		patternScans.Add(1)
-	}
-	it := node.Open(ctx, g)
+	it := q.Plan(g, true).Open(ctx, g)
 	s := &RowStream{Form: q.Form, Vars: vars}
 	if q.Form == FormAsk {
 		_, found := it.Next()
@@ -224,32 +121,3 @@ func (q *Query) EvalStream(ctx context.Context, g rdf.Source) (*RowStream, error
 	}
 	return s, nil
 }
-
-// streamResult replays a materialised result as a stream (the fallback for
-// queries outside the streamable fragment, and the client-side adapter for
-// one-shot responses from peers that do not speak the stream protocol).
-func streamResult(res *Result) *RowStream {
-	s := &RowStream{Form: res.Form, Vars: res.Vars, True: res.True}
-	if res.Form == FormAsk {
-		if res.True {
-			s.produced = 1
-		}
-		s.done = true
-		return s
-	}
-	s.produced = int64(len(res.Rows))
-	i := 0
-	s.next = func() (pattern.Tuple, bool) {
-		if i >= len(res.Rows) {
-			return nil, false
-		}
-		row := res.Rows[i]
-		i++
-		return row, true
-	}
-	return s
-}
-
-// StreamResult is streamResult for other packages (peer's one-shot
-// compatibility fallback).
-func StreamResult(res *Result) *RowStream { return streamResult(res) }

@@ -75,18 +75,14 @@ func TestParseLimit(t *testing.T) {
 	}
 }
 
-// The streamable fragment (single group + VALUES children) lowers to a
-// HashJoin over InlineBindings — visible in the rendered plan, and worth
-// one single pattern scan however many bindings ride along.
+// A VALUES child lowers to a HashJoin over InlineBindings — visible in the
+// rendered plan, and worth one single pattern scan however many bindings
+// ride along.
 func TestStreamPlanShowsInlineBindings(t *testing.T) {
 	q := MustParse(`
 PREFIX e: <http://e/>
 SELECT DISTINCT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten) } }`)
-	node, ok := q.StreamPlan(rdf.Freeze(filmGraph()))
-	if !ok {
-		t.Fatal("VALUES query outside the streamable fragment")
-	}
-	s := plan.Format(node)
+	s := plan.Format(q.Plan(rdf.Freeze(filmGraph()), true))
 	if !strings.Contains(s, "InlineBindings[?z] rows=2") {
 		t.Errorf("plan missing the inline build side:\n%s", s)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/workload"
 )
@@ -54,7 +55,7 @@ func TestScaledFilmQueriesAnswerable(t *testing.T) {
 	}
 	// even-indexed films are linked to source2 and gain an extra actor via
 	// the GMA: their answer set must strictly exceed the direct one
-	direct := pattern.EvalQuery(sys.StoredDatabase(), workload.ScaledFilmQuery(0))
+	direct := plan.ExecuteQuery(sys.StoredDatabase(), workload.ScaledFilmQuery(0))
 	integrated := u.CertainAnswers(workload.ScaledFilmQuery(0))
 	if integrated.Len() <= direct.Len() {
 		t.Errorf("integration added nothing: direct %d, integrated %d", direct.Len(), integrated.Len())
@@ -115,7 +116,7 @@ func TestCycleIntegratesAllPeers(t *testing.T) {
 	// every peer's core facts are visible in every other vocabulary
 	total := pattern.NewTupleSet()
 	for i := 0; i < 3; i++ {
-		direct := pattern.EvalQuery(sys.Peer(fmt.Sprintf("peer%d", i)).Data(), workload.CoreQuery(i))
+		direct := plan.ExecuteQuery(sys.Peer(fmt.Sprintf("peer%d", i)).Data(), workload.CoreQuery(i))
 		for _, tu := range direct.Sorted() {
 			total.Add(tu)
 		}
@@ -175,7 +176,7 @@ func TestHopSystem(t *testing.T) {
 		t.Errorf("hop integration = %d answers, want 5", got.Len())
 	}
 	// and none are visible without integration
-	direct := pattern.EvalQuery(sys.StoredDatabase(), workload.CoreQuery(3))
+	direct := plan.ExecuteQuery(sys.StoredDatabase(), workload.CoreQuery(3))
 	if direct.Len() != 0 {
 		t.Errorf("direct evaluation should find nothing at the far peer, got %d", direct.Len())
 	}
@@ -192,8 +193,8 @@ func TestQueryGenerators(t *testing.T) {
 	}
 	// path query evaluates over a generated system without error
 	sys := workload.LODSystem(workload.LODConfig{Peers: 2, Topology: workload.Chain, FactsPerPeer: 10, EntitiesPerPeer: 4, Seed: 5})
-	_ = pattern.EvalQuery(sys.StoredDatabase(), pq)
-	_ = pattern.EvalQuery(sys.StoredDatabase(), sq)
+	_ = plan.ExecuteQuery(sys.StoredDatabase(), pq)
+	_ = plan.ExecuteQuery(sys.StoredDatabase(), sq)
 }
 
 func TestListing1Fixtures(t *testing.T) {

@@ -295,15 +295,16 @@ var (
 	NewQuery = pattern.NewQuery
 	// MustQuery is NewQuery, panicking on error.
 	MustQuery = pattern.MustQuery
-	// EvalQuery computes Q_D (certain-answer semantics, names only).
-	EvalQuery = pattern.EvalQuery
-	// EvalQueryStar computes Q*_D (blank nodes included).
-	EvalQueryStar = pattern.EvalQueryStar
+	// EvalQuery computes Q_D (certain-answer semantics, names only)
+	// through the planner.
+	EvalQuery = plan.ExecuteQuery
+	// EvalQueryStar computes Q*_D (blank nodes included) through the
+	// planner.
+	EvalQueryStar = plan.ExecuteQueryStar
 )
 
-// Query planning and execution (package internal/plan). Linking this
-// package installs the planner as the default evaluator behind EvalQuery
-// and every answering strategy.
+// Query planning and execution (package internal/plan): the planner is the
+// evaluator behind EvalQuery and every answering strategy.
 var (
 	// ExecutePattern evaluates ⟦GP⟧_D through the streaming planner.
 	ExecutePattern = plan.Execute
