@@ -1,7 +1,8 @@
-// Benchmarks regenerating every experiment of the reproduction (DESIGN.md
-// per-experiment index E1–E8) plus the design-choice ablations and core
-// micro-benchmarks. cmd/rpsbench prints the corresponding full tables;
-// EXPERIMENTS.md records paper-vs-measured for each artifact.
+// Benchmarks regenerating the experiments of the reproduction (E1–E10 and
+// the ablations A1–A5, whose full tables cmd/rpsbench prints) plus the store
+// and planner micro-benchmarks (AddSingle, SnapshotRead, PlanVsNaive, …) that
+// CI smokes at -cpu 1,4. End-to-end and per-layer performance is measured by
+// the repository benchmark under benchmark/.
 package rps_test
 
 import (

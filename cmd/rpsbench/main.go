@@ -1,25 +1,15 @@
-// Command rpsbench regenerates every experiment table of the reproduction
-// (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the recorded
-// results):
+// Command rpsbench regenerates the experiment tables of the reproduction:
 //
 //	rpsbench             # run everything at the default sizes
 //	rpsbench -e e1,e5    # selected experiments
 //	rpsbench -quick      # smaller sizes for a fast smoke run
-//	rpsbench -json out.json   # machine-readable results + contention benches
 //
-// With -json, the selected experiment tables are additionally written as a
-// JSON document together with a fixed suite of store microbenchmarks
-// (ns/op, allocs/op — including the snapshot-read-under-writes contention
-// probes), the closed-loop load/cache/durability harnesses, and the
-// federation fault-tolerance benchmark (mediator qps and p99 at 0/10/30%
-// unhealthy peers, hedging off and on, over 3-replica sets), so the
-// performance trajectory of the repository is recorded as an artifact
-// (CI uploads BENCH_PR9.json from the bench-smoke job).
+// It prints tables and nothing else. Performance is measured by the
+// repository benchmark under benchmark/ (bash benchmark/run.sh), which CI
+// runs on the base and the head of every pull request and compares.
 //
 // The federated experiments run the mediator's one configuration, tuned
-// only by -fed-batch, -fed-retries and -fed-hedge; the streaming
-// benchmark's one-shot side is a mediator over a client without
-// QueryStream.
+// only by -fed-batch, -fed-retries and -fed-hedge.
 //
 // Experiments: e1 (Listing 1), e2 (Listing 2), e3 (Theorem 1 chase
 // scaling), e4 (Proposition 2 rewriting strategies), e5 (Proposition 3
@@ -39,24 +29,18 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/federation"
-	"repro/internal/plan"
-	"repro/internal/qcache"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		which      = flag.String("e", "all", "comma-separated experiment ids (e1..e8, a1..a4) or 'all'")
+		which      = flag.String("e", "all", "comma-separated experiment ids (e1..e10, a1..a5) or 'all'")
 		quick      = flag.Bool("quick", false, "use smaller problem sizes")
 		shards     = flag.Int("shards", 0, "graph store shard count (0 = one per CPU)")
 		fedBatch   = flag.Int("fed-batch", 0, "probe batch size for the federated mediator: bindings one probe query ships (0 = library default)")
 		fedRetries = flag.Int("fed-retries", 3, "max attempts per federated sub-query in E7/a4 (1 = no retries)")
 		fedHedge   = flag.Bool("fed-hedge", false, "hedge slow federated sub-queries against replicas in E7/a4")
-		jsonPath   = flag.String("json", "", "also write machine-readable results (tables + store microbenchmarks) to this file")
-		rcache     = flag.Bool("result-cache", false, "run the experiments with the answer cache installed (the -json cache sweep measures on/off either way)")
-		rcacheMB   = flag.Int("result-cache-mb", 64, "answer cache byte budget in MiB")
 	)
 	flag.Parse()
 	rdf.SetDefaultShardCount(*shards)
@@ -65,20 +49,13 @@ func main() {
 		Retry:     federation.RetryPolicy{MaxAttempts: *fedRetries},
 		Hedge:     *fedHedge,
 	}
-	if *rcache {
-		qc := qcache.New(int64(*rcacheMB) << 20)
-		plan.SetAnswerCache(qc.Layer("plan"))
-		plan.SetNegativeAskCache(qcache.NewNegCache(4096))
-		sparql.SetAnswerCache(qc.Layer("sparql"))
-		fed.AnswerCache = qc
-	}
-	if err := run(os.Stdout, *which, *quick, fed, *jsonPath); err != nil {
+	if err := run(os.Stdout, *which, *quick, fed); err != nil {
 		fmt.Fprintln(os.Stderr, "rpsbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, which string, quick bool, fed federation.Options, jsonPath string) error {
+func run(w io.Writer, which string, quick bool, fed federation.Options) error {
 	selected := map[string]bool{}
 	if which == "all" {
 		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "a3", "a4", "a5"} {
@@ -154,7 +131,6 @@ func run(w io.Writer, which string, quick bool, fed federation.Options, jsonPath
 	}
 
 	ran := 0
-	var tables []*experiments.Table
 	for _, e := range all {
 		if !selected[e.id] {
 			continue
@@ -164,17 +140,10 @@ func run(w io.Writer, which string, quick bool, fed federation.Options, jsonPath
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		fmt.Fprintln(w, tab.Format())
-		tables = append(tables, tab)
 		ran++
 	}
 	if ran == 0 {
 		return fmt.Errorf("no experiment matched %q", which)
-	}
-	if jsonPath != "" {
-		if err := writeJSONReport(jsonPath, quick, tables); err != nil {
-			return fmt.Errorf("-json: %w", err)
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
 	}
 	return nil
 }

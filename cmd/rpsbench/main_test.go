@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,7 +10,7 @@ import (
 
 func TestRunSelectedExperiments(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "e1,e6,e7", true, federation.Options{}, ""); err != nil {
+	if err := run(&out, "e1,e6,e7", true, federation.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -27,43 +24,7 @@ func TestRunSelectedExperiments(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "e99", true, federation.Options{}, ""); err == nil {
+	if err := run(&out, "e99", true, federation.Options{}); err == nil {
 		t.Error("unknown experiment accepted")
-	}
-}
-
-// TestJSONReport pins the machine-readable output: experiment tables plus
-// the contention microbenchmark suite, decodable and fully populated.
-func TestJSONReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the microbenchmark suite")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	if err := run(&out, "e1", true, federation.Options{}, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "E1" {
-		t.Errorf("experiments = %+v, want the E1 table", rep.Experiments)
-	}
-	names := make(map[string]bool)
-	for _, m := range rep.Micro {
-		names[m.Name] = true
-		if m.NsPerOp <= 0 || m.Iterations <= 0 {
-			t.Errorf("micro %s has empty measurements: %+v", m.Name, m)
-		}
-	}
-	for _, want := range []string{"SnapshotRead/idle", "SnapshotRead/underWriter", "PlanExecute", "Add", "AddSingle", "AddAllBatch", "ChaseRoundWrite"} {
-		if !names[want] {
-			t.Errorf("micro suite missing %s (got %v)", want, names)
-		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -246,6 +248,17 @@ func TestBuildMuxDurableRestart(t *testing.T) {
 	coldIndex, coldRows := query(mux)
 	if err := stores.Close(); err != nil {
 		t.Fatalf("shutdown close: %v", err)
+	}
+
+	// a warm start reads the checkpoints, never the Turtle sources
+	ttl, err := filepath.Glob(filepath.Join(dir, "*.ttl"))
+	if err != nil || len(ttl) == 0 {
+		t.Fatalf("no Turtle sources next to the system file: %v", err)
+	}
+	for _, f := range ttl {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	mux2, _, stores2, err := buildMux(path, federation.Options{}, opsConfig{}, dur)

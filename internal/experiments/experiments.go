@@ -1,9 +1,9 @@
 // Package experiments implements the reproduction harness: one function per
-// paper artifact (figures, listings, theorems and propositions — see
-// DESIGN.md's per-experiment index E1–E8) plus the design-choice ablations.
-// Each experiment returns a Table that cmd/rpsbench prints and
-// EXPERIMENTS.md records; the root bench_test.go wraps the same functions
-// as testing.B benchmarks.
+// paper artifact (listings, theorems and propositions, E1–E10) plus the
+// design-choice ablations (A1–A5). Each experiment returns a Table that
+// cmd/rpsbench prints; the root bench_test.go wraps the same functions as
+// testing.B benchmarks. Performance is measured by the repository
+// benchmark under benchmark/, not here.
 package experiments
 
 import (
@@ -430,8 +430,8 @@ func E6Stickiness() (*Table, error) {
 // E7Federation measures the Section 5 prototype: federated query answering
 // over the simulated network across peer counts and topologies. The fed
 // options set the probe batch size, per-peer in-flight window and fault
-// tolerance; rpsbench exposes them as -fed-batch, -fed-retries and
-// -fed-hedge.
+// tolerance; cmd/rpsbench exposes them as -fed-batch, -fed-retries and
+// -fed-hedge for this table and A4.
 func E7Federation(peerCounts []int, topologies []workload.Topology, fed federation.Options) (*Table, error) {
 	t := &Table{
 		ID:    "E7",

@@ -338,9 +338,7 @@ func Execute(g rdf.Source, gp pattern.GraphPattern) []pattern.Binding {
 }
 
 // Ask reports whether the pattern has at least one solution, stopping at
-// the first streamed row. Fan-out markers are stripped from the plan
-// first: a parallel scan buffers every shard's matches at Open time, which
-// is exactly wrong for a query that needs one row.
+// the first streamed row of a plan prepared by DisableFanout.
 func Ask(g rdf.Source, gp pattern.GraphPattern) bool {
 	src := rdf.Freeze(g)
 	snap, isSnap := src.(*rdf.Snapshot)
@@ -375,17 +373,20 @@ func Ask(g rdf.Source, gp pattern.GraphPattern) bool {
 
 func askUncached(src rdf.Source, gp pattern.GraphPattern) bool {
 	n := Plan(src, gp)
-	disableFanout(n)
+	DisableFanout(n)
 	it := n.Open(context.Background(), src)
 	defer it.Close()
 	_, ok := it.Next()
 	return ok
 }
 
-// disableFanout clears the parallel-scan markers of a plan so every leaf
-// streams. Plan returns freshly built nodes on every call (cached entries
-// store join orders, not trees), so mutating them is safe.
-func disableFanout(n Node) {
+// DisableFanout prepares a plan for a consumer that stops early (ASK,
+// LIMIT): it clears the parallel-scan markers so every leaf streams, since
+// a fan-out scan buffers every shard's matches at Open time, which is
+// exactly wrong for a query that needs a few rows. Plan returns freshly
+// built nodes on every call (cached entries store join orders, not trees),
+// so mutating them is safe.
+func DisableFanout(n Node) {
 	switch x := n.(type) {
 	case *IndexScan:
 		x.Fanout = 0
@@ -393,20 +394,20 @@ func disableFanout(n Node) {
 		// first-row consumers stop early; accumulating a probe batch would
 		// pull and probe child rows whose output is never read
 		x.Batch = 1
-		disableFanout(x.Left)
+		DisableFanout(x.Left)
 	case *HashJoin:
 		x.ParallelBuild = false
-		disableFanout(x.Left)
-		disableFanout(x.Right)
+		DisableFanout(x.Left)
+		DisableFanout(x.Right)
 	case *Project:
-		disableFanout(x.Child)
+		DisableFanout(x.Child)
 	case *Distinct:
-		disableFanout(x.Child)
+		DisableFanout(x.Child)
 	case *Filter:
-		disableFanout(x.Child)
+		DisableFanout(x.Child)
 	case *Union:
 		for _, c := range x.Children {
-			disableFanout(c)
+			DisableFanout(c)
 		}
 	}
 }

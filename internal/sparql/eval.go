@@ -50,8 +50,23 @@ func (q *Query) EvalCtx(ctx context.Context, g rdf.Source) (*Result, error) {
 }
 
 func (q *Query) evalUncached(ctx context.Context, g rdf.Source) (*Result, error) {
+	if q.Form == FormAsk {
+		return &Result{Form: FormAsk, True: q.ask(ctx, g)}, ctx.Err()
+	}
 	res := q.assemble(plan.Drain(q.Plan(g, false).Open(ctx, g)))
 	return res, ctx.Err()
+}
+
+// ask opens the query's tree prepared for early stop (streaming unions,
+// plan.DisableFanout), takes its first row and closes it: the first row
+// decides an ASK.
+func (q *Query) ask(ctx context.Context, g rdf.Source) bool {
+	n := q.Plan(g, true)
+	plan.DisableFanout(n)
+	it := n.Open(ctx, g)
+	defer it.Close()
+	_, ok := it.Next()
+	return ok
 }
 
 func (q *Query) assemble(sols []pattern.Binding) *Result {

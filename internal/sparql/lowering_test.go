@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -367,6 +368,82 @@ func TestEvalStreamStopsEarlyOnEveryShape(t *testing.T) {
 			if n := src.read[pred].Load(); n >= 1000 {
 				t.Errorf("%s: read %d of the 1000 %s triples", c.text, n, pred)
 			}
+		}
+	}
+}
+
+// A one-shot ASK decides on the first row: EvalCtx opens the tree, takes
+// one row and closes it instead of draining every match.
+func TestEvalCtxAskReadsOneRow(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("@prefix e: <http://e/> .\n")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&b, "e:s%d e:p e:o%d .\n", i, i)
+	}
+	g := turtle.MustParseGraph(b.String())
+	p := rdf.IRI("http://e/p")
+	src := &countingSource{Snapshot: g.Snapshot(), read: map[rdf.Term]*atomic.Int64{p: {}}}
+	res, err := MustParse(`PREFIX e: <http://e/> ASK { ?s e:p ?o }`).EvalCtx(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.True {
+		t.Fatal("ASK false, want true")
+	}
+	if n := src.read[p].Load(); n > 1 {
+		t.Errorf("ASK read %d of the 1000 e:p triples, want 1", n)
+	}
+}
+
+// A fan-out scan buffers every shard's matches at Open, so a consumer that
+// stops early must not get one: on a sharded graph with parallelism to
+// spare, ASK and LIMIT 1 over an object-only pattern big enough to fan out
+// read a handful of its rows, one-shot and streamed.
+func TestEarlyStopSkipsFanoutScans(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 6000
+	g := rdf.NewGraphSharded(8)
+	p, o := rdf.IRI("http://e/p"), rdf.IRI("http://e/o")
+	for i := 0; i < n; i++ {
+		g.Add(rdf.Triple{S: rdf.IRI("http://e/s" + strconv.Itoa(i)), P: p, O: o})
+	}
+	ask := MustParse(`ASK { ?s ?p <http://e/o> }`)
+	limit := MustParse(`SELECT ?s WHERE { ?s ?p <http://e/o> } LIMIT 1`)
+	for _, c := range []struct {
+		name string
+		run  func(rdf.Source) (bool, error)
+	}{
+		{"EvalCtx ASK", func(src rdf.Source) (bool, error) {
+			res, err := ask.EvalCtx(context.Background(), src)
+			return res.True, err
+		}},
+		{"EvalStream ASK", func(src rdf.Source) (bool, error) {
+			rs, err := ask.EvalStream(context.Background(), src)
+			if err != nil {
+				return false, err
+			}
+			return rs.True, nil
+		}},
+		{"EvalStream LIMIT 1", func(src rdf.Source) (bool, error) {
+			rs, err := limit.EvalStream(context.Background(), src)
+			if err != nil {
+				return false, err
+			}
+			defer rs.Close()
+			_, ok := rs.Next()
+			return ok, nil
+		}},
+	} {
+		src := &countingSource{Snapshot: g.Snapshot(), read: map[rdf.Term]*atomic.Int64{p: {}}}
+		found, err := c.run(src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !found {
+			t.Errorf("%s: no row, want one", c.name)
+		}
+		if got := src.read[p].Load(); got > 10 {
+			t.Errorf("%s: read %d of the %d triples, want a handful", c.name, got, n)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/pattern"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 )
 
@@ -72,18 +73,19 @@ func (q *Query) EvalStream(ctx context.Context, g rdf.Source) (*RowStream, error
 	}
 	g = rdf.Freeze(g)
 	vars := q.ProjectedVars()
-	it := q.Plan(g, true).Open(ctx, g)
 	s := &RowStream{Form: q.Form, Vars: vars}
 	if q.Form == FormAsk {
-		_, found := it.Next()
-		if found {
+		s.True, s.done = q.ask(ctx, g), true
+		if s.True {
 			s.produced = 1
 		}
-		it.Close()
-		s.True = found
-		s.done = true
 		return s, nil
 	}
+	n := q.Plan(g, true)
+	if q.Limit > 0 {
+		plan.DisableFanout(n)
+	}
+	it := n.Open(ctx, g)
 	var seen map[string]struct{}
 	if q.Distinct {
 		seen = make(map[string]struct{})

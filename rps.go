@@ -54,7 +54,7 @@
 // source fan-out, the bind-or-fetch rule of each step and the in-flight
 // window, and EXPLAIN ANALYZE adds the branch each step took (rpsquery
 // -mode federation -explain / -analyze; tune the probe batch with
-// -fed-batch on rpsd, rpsquery and rpsbench).
+// -fed-batch on rpsd and rpsquery, and on rpsbench for its E7/A4 tables).
 //
 // Federation is fault-tolerant. Every sub-query runs under a retry policy
 // (FederationOptions.Retry): transient failures — unreachable peers,
@@ -76,9 +76,9 @@
 // all of these faults (Fail, FailAfter, HealAfter, SetFlaky), rpsd/rpsquery
 // expose the knobs as -fed-retries and -fed-partial (and rpsquery
 // -fed-hedge and -fed-replicas), the federation_retry_*, federation_hedge_* and
-// federation_breaker_* metric families land at /metrics, and rpsbench's
-// JSON report measures mediator qps and tail latency at 0/10/30% unhealthy
-// peers with hedging off and on.
+// federation_breaker_* metric families land at /metrics, and the chaos
+// suite (go test -run 'Rotating|Failover|Partial|Hedge|Breaker'
+// ./internal/federation/) drives every one of these paths.
 //
 // Underneath all three strategies and the federated engine sits a single
 // streaming, cost-based query planner and executor (package internal/plan):
@@ -111,10 +111,10 @@
 // cache hits and in-flight peaks, and rpsd its per-endpoint request
 // counts, error counts and latency histograms. rpsd serves /metrics and
 // net/http/pprof, logs queries slower than -slow-query, and shuts down
-// gracefully (draining in-flight requests) on SIGINT/SIGTERM; rpsbench's
-// JSON report includes a closed-loop load benchmark (qps and latency
-// percentiles under a concurrent write storm) so serving capacity is part
-// of the per-PR performance trajectory.
+// gracefully (draining in-flight requests) on SIGINT/SIGTERM. The
+// repository benchmark (benchmark/) drives it in a closed loop (the
+// peer_cold and peer_hot workloads), and CI compares every pull request's
+// numbers with its base's, so serving capacity is gated, not just recorded.
 //
 // Repeated queries are served from an epoch-keyed answer cache (package
 // internal/qcache): a sharded, memory-budgeted cache keyed on the query
@@ -130,7 +130,8 @@
 // remote-extension fetches (keyed there by the peers' version vector);
 // rpsd enables it by default (-result-cache, -result-cache-mb), EXPLAIN
 // prints "-- answer cache: hit" for resident answers, /metrics exposes the
-// qcache_ families, and rpsbench sweeps off/cold/hot configurations. The
+// qcache_ families, and the benchmark's peer_cold and peer_hot workloads
+// measure every request missing and hitting it. The
 // executor underneath batches index nested-loop join probes (repeated join
 // keys share one index descent; EXPLAIN ANALYZE shows batch=…/probes=…),
 // the planner corrects join-order estimates for skew with per-predicate
@@ -162,7 +163,7 @@
 // are memoised in a shape-keyed plan cache so the chase's repeated
 // applicability checks skip re-planning (plan.CacheStats exposes hit/miss
 // counters). NewGraphSharded fixes the shard count explicitly; the rpsd,
-// rpsquery and rpsbench commands expose it as -shards.
+// rpsquery and rpsbench (experiment tables) commands expose it as -shards.
 //
 // The store is durable. A write-ahead log (package internal/wal) and
 // snapshot checkpoints (package internal/checkpoint) sit under the graph
@@ -184,8 +185,9 @@
 // -data-dir (tuning: -fsync always|interval|never, -checkpoint-every),
 // checkpoints on graceful shutdown, skips Turtle re-parsing on a warm
 // start, and exposes the wal_* and checkpoint_* metric families at
-// /metrics; rpsbench's JSON report measures cold-parse vs warm-restart vs
-// WAL-tail recovery.
+// /metrics. The benchmark's traced peer_cold run reports the cold Turtle
+// load (mapfile.load_ms) against the warm restart (durable.recover_ms), and
+// CI requires the restart to stay at least 5x faster.
 //
 // Quick start:
 //
