@@ -64,7 +64,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -119,8 +118,8 @@ func newServer(h http.Handler, readHeader, read, idle time.Duration) *http.Serve
 
 // localClient answers the mediator's sub-queries against co-hosted peers
 // without a network round trip. It has no QueryStream, so the mediator
-// takes the one-shot path; a remote deployment substitutes peer.HTTPClient
-// and endpoint URLs in the registry.
+// reads each answer as a one-frame stream; a remote deployment substitutes
+// peer.HTTPClient and endpoint URLs in the registry.
 type localClient struct {
 	peers map[string]*core.Peer
 }
@@ -421,7 +420,7 @@ func buildMux(systemPath string, fed federation.Options, ops opsConfig, dur dura
 // The mediator runs under the request context: at the deadline every
 // in-flight sub-query stops and the request answers 503.
 func serveFederated(w http.ResponseWriter, r *http.Request, eng *federation.Engine) {
-	queryText, err := extractQuery(w, r)
+	queryText, err := peer.ExtractQuery(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -476,35 +475,4 @@ func serveFederated(w http.ResponseWriter, r *http.Request, eng *federation.Engi
 	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
 	_, _ = w.Write(payload)
-}
-
-// extractQuery mirrors peer.HTTPService's request handling. The body is
-// read in full through io.ReadAll (a single Read call would truncate
-// chunked or large requests) and capped at 1 MiB.
-func extractQuery(w http.ResponseWriter, r *http.Request) (string, error) {
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query().Get("query")
-		if q == "" {
-			return "", fmt.Errorf("missing query parameter")
-		}
-		return q, nil
-	case http.MethodPost:
-		r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-		if err := r.ParseForm(); err == nil {
-			if q := r.PostForm.Get("query"); q != "" {
-				return q, nil
-			}
-		}
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return "", err
-		}
-		if len(body) == 0 {
-			return "", fmt.Errorf("empty query body")
-		}
-		return string(body), nil
-	default:
-		return "", fmt.Errorf("method %s not allowed", r.Method)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -195,6 +196,55 @@ func TestFederatedEndpoint(t *testing.T) {
 	if _, err := c.Query(srv.URL+"/federated",
 		`SELECT ?x WHERE { { ?x ?p ?o } UNION { ?o ?p ?x } }`); err == nil {
 		t.Error("non-conjunctive query accepted")
+	}
+}
+
+// /peer/<name> and /federated decode a request the same way (the SPARQL
+// 1.1 Protocol, peer.ExtractQuery): what one answers, the other answers,
+// and what one rejects as a bad request, so does the other.
+func TestPeerAndFederatedDecodeRequestsAlike(t *testing.T) {
+	dir := t.TempDir()
+	path, err := mapfile.Save(workload.Figure1System(), workload.FilmNamespaces(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux, _, _, err := buildMux(path, federation.Options{}, opsConfig{}, durableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const query = `SELECT ?x ?y WHERE { ?x <http://example.org/age> ?y }`
+	for _, tc := range []struct {
+		name  string
+		get   bool
+		ct    string
+		body  string
+		class int // status / 100
+	}{
+		{name: "GET", get: true, class: 2},
+		{name: "sparql-query POST", ct: "application/sparql-query", body: query, class: 2},
+		{name: "form POST", ct: "application/x-www-form-urlencoded", body: url.Values{"query": {query}}.Encode(), class: 2},
+		{name: "body over 1 MiB", ct: "application/sparql-query", body: query + strings.Repeat(" ", 1<<20), class: 4},
+		{name: "text/plain POST", ct: "text/plain", body: query, class: 4},
+	} {
+		for _, endpoint := range []string{"/peer/source3", "/federated"} {
+			var resp *http.Response
+			if tc.get {
+				resp, err = srv.Client().Get(srv.URL + endpoint + "?query=" + url.QueryEscape(query))
+			} else {
+				resp, err = srv.Client().Post(srv.URL+endpoint, tc.ct, strings.NewReader(tc.body))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode/100 != tc.class {
+				t.Errorf("%s to %s: status %d, want %dxx", tc.name, endpoint, resp.StatusCode, tc.class)
+			}
+		}
 	}
 }
 

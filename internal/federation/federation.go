@@ -60,21 +60,21 @@
 //
 // # Streaming
 //
-// When the client can stream (StreamClient — peer.Client and
-// peer.HTTPClient both can), sub-query results cross the wire as chunked
-// streams instead of one-shot documents: a fetch opens the stream and
-// drains it inside its retry attempt, ASK probes stop the peer's scan at
+// The mediator reads every sub-query result as a peer.ResultStream, and
+// one attempt body (fetcher.read) reads them all: it opens the stream and
+// reads it inside its retry attempt, an ASK probe stops the peer's scan at
 // the first row, and canceling the query — or losing a hedged race —
 // closes the stream so the peer abandons the rest of the scan. A stream
 // that dies mid-flight is a transient error like any other: the retry
-// loop restarts the fetch from scratch. A client without QueryStream gets
-// the one-shot wire: every sub-query result arrives as one document, fully
-// materialised at the peer.
+// loop restarts the fetch from scratch. peer.Client and peer.HTTPClient
+// open chunked streams; a client that can only answer whole (QueryContext
+// alone, like rpsd's in-process client) has each answer read as a
+// one-frame stream (peer.OneShotStream), fully materialised at the peer.
 //
 // AnswerCtx drains everything, so its leaves fetch whole results through
 // the shared cache. A plan from Engine.Plan, whose consumer may stop early,
 // streams instead: leaves that fetch whole extensions hand rows to the
-// joins as chunks arrive (plan.RemoteScan.FetchStream), and the disjunct
+// joins as they arrive (plan.RemoteScan.FetchStream), and the disjunct
 // Union merges rows as branches produce them, so closing the plan iterator
 // reaches into the remote scans (rpsquery -mode federation -explain /
 // -analyze renders the plan).
@@ -284,31 +284,23 @@ func (m *Metrics) PartialSummary() []string {
 
 // Client abstracts how the mediator reaches a peer's SPARQL service: the
 // simulated network client (peer.Client), the HTTP client (peer.HTTPClient)
-// or anything else that can answer a query at an address with one result
-// document — the one-shot wire. Every request carries the mediator's
+// or anything else that can answer a query at an address. A client that
+// also has QueryStream(ctx, addr, queryText) (*peer.ResultStream, error),
+// as those two do, is read through it; any other client's answer is read
+// as a one-frame stream (see New). Every request carries the mediator's
 // per-query context, so sub-queries of a canceled federated query are
 // abandoned at the transport.
 type Client interface {
 	QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error)
 }
 
-// StreamClient is a Client that can open a sub-query as a chunked result
-// stream (peer.Client and peer.HTTPClient both can). The mediator prefers
-// it when present: every fetch crosses the wire as a stream — an ASK
-// probe stops the peer's scan at its first row, an abandoned fetch closes
-// the stream mid-scan — and the streamed leaves of Engine.Plan hand rows
-// to the joins as chunks arrive.
-type StreamClient interface {
-	Client
-	QueryStream(ctx context.Context, addr, queryText string) (*peer.ResultStream, error)
-}
-
 // Engine is the mediator.
 type Engine struct {
-	sys    *core.System
-	reg    *peer.Registry
-	client Client
-	stream StreamClient // client, when it can stream results
+	sys *core.System
+	reg *peer.Registry
+	// open starts a sub-query's result stream at addr: the client's
+	// contract, read only by fetcher.read.
+	open   func(ctx context.Context, addr, queryText string) (*peer.ResultStream, error)
 	opts   Options
 	acache *qcache.Layer // shared answer cache for remote fetches, nil when off
 	// health is the engine-lifetime endpoint health table: breaker state,
@@ -321,10 +313,23 @@ type Engine struct {
 }
 
 // New creates an engine over a system (the mediator's knowledge of schemas
-// and mappings), a registry of peer services, and a query client.
+// and mappings), a registry of peer services, and a query client. The
+// client's QueryStream opens the sub-queries when it has one; otherwise
+// each whole answer is read as a one-frame stream.
 func New(sys *core.System, reg *peer.Registry, client Client, opts Options) *Engine {
-	sc, _ := client.(StreamClient)
-	e := &Engine{sys: sys, reg: reg, client: client, stream: sc, opts: opts}
+	open := func(ctx context.Context, addr, queryText string) (*peer.ResultStream, error) {
+		res, err := client.QueryContext(ctx, addr, queryText)
+		if err != nil {
+			return nil, err
+		}
+		return peer.OneShotStream(res), nil
+	}
+	if sc, ok := client.(interface {
+		QueryStream(ctx context.Context, addr, queryText string) (*peer.ResultStream, error)
+	}); ok {
+		open = sc.QueryStream
+	}
+	e := &Engine{sys: sys, reg: reg, open: open, opts: opts}
 	e.health = newHealthRegistry(opts.BreakerThreshold, opts.BreakerCooldown)
 	if opts.AnswerCache != nil && sys != nil {
 		e.acache = opts.AnswerCache.Layer("federation")

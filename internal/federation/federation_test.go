@@ -223,9 +223,9 @@ func figure1Queries(t *testing.T) map[string]pattern.Query {
 }
 
 // Federation answers every Figure 1 query of the E-tables with the chase's
-// certain answers, on the streamed and the one-shot wire alike. (E1's
-// rewriting has 20 196 disjuncts and takes seconds; one wire is enough for
-// it.)
+// certain answers, over peer.Client's streams and over a client that
+// answers only whole alike. (E1's rewriting has 20 196 disjuncts and takes
+// seconds; one client is enough for it.)
 func TestFigure1FederationMatchesChase(t *testing.T) {
 	sys := workload.Figure1System()
 	queries := figure1Queries(t)

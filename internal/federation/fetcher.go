@@ -8,11 +8,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/peer"
 	"repro/internal/plan"
 	"repro/internal/rewrite"
-	"repro/internal/sparql"
 )
 
 // fetcher is the mediator's concurrency-safe fetch layer for one query
@@ -33,26 +33,15 @@ type fetcher struct {
 	// with it (and served from the cache only at the identical vector).
 	epochs []uint64
 
-	mu        sync.Mutex
-	cache     map[string]*fetchEntry
-	slots     map[string]chan struct{}
-	sources   map[string]bool
-	skipped   map[string]string // sources exhausted under Options.Partial → error summary
-	calls     int
-	batches   int
-	rows      int
-	bindSteps int
-	extSteps  int
-	cacheHits int
-	inFlight  int
-	flightMax int
-	retries   int
-	failovers int
-	hedges    int
-	hedgeWins int
-	fastFails int
-	err       error
-	errAt     int // the disjunct err was recorded against
+	mu       sync.Mutex
+	m        Metrics // the counters; snapshot fills in the rest
+	cache    map[string]*fetchEntry
+	slots    map[string]chan struct{}
+	sources  map[string]bool
+	skipped  map[string]string // sources exhausted under Options.Partial → error summary
+	inFlight int
+	err      error
+	errAt    int // the disjunct err was recorded against
 }
 
 // fetchEntry is one cache slot. The creator (leader) computes rows/err and
@@ -113,70 +102,30 @@ func newFetcher(e *Engine) *fetcher {
 func (f *fetcher) snapshot(res *rewrite.Result) *Metrics {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := &Metrics{
-		Disjuncts:        res.Size(),
-		RewriteTruncated: res.Truncated,
-		RemoteCalls:      f.calls,
-		Batches:          f.batches,
-		RowsFetched:      f.rows,
-		BindSteps:        f.bindSteps,
-		ExtensionSteps:   f.extSteps,
-		SourcesContacted: len(f.sources),
-		CacheHits:        f.cacheHits,
-		InFlightMax:      f.flightMax,
-		Retries:          f.retries,
-		Failovers:        f.failovers,
-		Hedges:           f.hedges,
-		HedgeWins:        f.hedgeWins,
-		BreakerFastFails: f.fastFails,
-		Partial:          len(f.skipped) > 0,
-	}
+	m := f.m
+	m.Disjuncts, m.RewriteTruncated = res.Size(), res.Truncated
+	m.SourcesContacted = len(f.sources)
+	m.Partial = len(f.skipped) > 0
 	for name, msg := range f.skipped {
 		m.SkippedSources = append(m.SkippedSources, SkippedSource{Source: name, Err: msg})
 	}
 	sort.Slice(m.SkippedSources, func(i, j int) bool {
 		return m.SkippedSources[i].Source < m.SkippedSources[j].Source
 	})
-	return m
+	return &m
 }
 
-// Per-event counters of the fault-tolerance layer: each feeds both the
-// query's Metrics snapshot and the process-wide obs family (events are
-// interesting even when the query is later canceled, so they publish at
-// event time rather than through publishMetrics).
-func (f *fetcher) countRetry() {
+// count adds one event to field, a counter of f.m, and to c when set: the
+// fault-tolerance events feed their process-wide obs family at event time
+// rather than through publishMetrics, because they are interesting even
+// when the query is later canceled.
+func (f *fetcher) count(field *int, c *obs.Counter) {
 	f.mu.Lock()
-	f.retries++
+	*field++
 	f.mu.Unlock()
-	obsRetryAttempts.Inc()
-}
-
-func (f *fetcher) countFailover() {
-	f.mu.Lock()
-	f.failovers++
-	f.mu.Unlock()
-	obsFailovers.Inc()
-}
-
-func (f *fetcher) countHedge() {
-	f.mu.Lock()
-	f.hedges++
-	f.mu.Unlock()
-	obsHedgeLaunched.Inc()
-}
-
-func (f *fetcher) countHedgeWin() {
-	f.mu.Lock()
-	f.hedgeWins++
-	f.mu.Unlock()
-	obsHedgeWins.Inc()
-}
-
-func (f *fetcher) countFastFail() {
-	f.mu.Lock()
-	f.fastFails++
-	f.mu.Unlock()
-	obsBreakerReject.Inc()
+	if c != nil {
+		c.Inc()
+	}
 }
 
 // skipSource records a source exhausted under Options.Partial: it
@@ -250,9 +199,7 @@ func (f *fetcher) acquire(addr string) func() {
 	ch <- struct{}{}
 	f.mu.Lock()
 	f.inFlight++
-	if f.inFlight > f.flightMax {
-		f.flightMax = f.inFlight
-	}
+	f.m.InFlightMax = max(f.m.InFlightMax, f.inFlight)
 	f.mu.Unlock()
 	return func() {
 		f.mu.Lock()
@@ -273,7 +220,7 @@ func (f *fetcher) acquire(addr string) func() {
 func (f *fetcher) cached(key string, vars []string, compute func() ([]pattern.Binding, error)) ([]pattern.Binding, error) {
 	f.mu.Lock()
 	if ent, ok := f.cache[key]; ok {
-		f.cacheHits++
+		f.m.CacheHits++
 		f.mu.Unlock()
 		<-ent.done
 		return ent.as(vars), ent.err
@@ -308,9 +255,7 @@ func (f *fetcher) sharedCached(key string, vars []string, compute func() ([]patt
 		// reuse. Consume complete cached entries, compute privately, and
 		// publish only when this execution has skipped nothing.
 		if v, ok := l.Get(key, f.epochs); ok {
-			f.mu.Lock()
-			f.cacheHits++
-			f.mu.Unlock()
+			f.count(&f.m.CacheHits, nil)
 			return v.(extension).as(vars), nil
 		}
 		rows, err := compute()
@@ -335,9 +280,7 @@ func (f *fetcher) sharedCached(key string, vars []string, compute func() ([]patt
 		return nil, err
 	}
 	if shared {
-		f.mu.Lock()
-		f.cacheHits++
-		f.mu.Unlock()
+		f.count(&f.m.CacheHits, nil)
 	}
 	return v.(extension).as(vars), nil
 }
@@ -352,95 +295,86 @@ func bindingsBytes(rows []pattern.Binding) int64 {
 	return n
 }
 
-// query sends one query text to one source, accounting the message.
-// bindings is the probe batch size the query carries (0: not a probe);
-// multi-binding probes count as batches. The call runs under the fetcher's
-// retry policy (callRetry): transient failures are retried with backoff
-// across the source's replica set, hedged when Options.Hedge. Each attempt
-// takes an in-flight slot of the endpoint it lands on, and the request
-// inherits the attempt's context.
-//
-// With a streaming client the result crosses the wire as a chunked stream,
-// opened and fully drained inside the attempt: an ASK stops the peer's
-// scan at the first row, a stream that dies mid-flight is a transient
-// error the retry loop restarts from scratch (the one-shot semantics of
-// this method make the restart invisible), and a hedged loser's canceled
-// context abandons its stream mid-flight. A streamed fetch still counts as
-// ONE RemoteCalls message however many chunk pulls it took — RemoteCalls
-// counts logical sub-queries; the per-chunk round trips show up in the
-// network's own call statistics.
-func (f *fetcher) query(ctx context.Context, src peer.Entry, queryText string, bindings int) (*sparql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return callRetry(f, ctx, src, func(actx context.Context, addr string) (*sparql.Result, error) {
-		if err := actx.Err(); err != nil {
-			return nil, err
-		}
-		release := f.acquire(addr)
-		var res *sparql.Result
-		var err error
-		if f.eng.stream != nil {
-			var rs *peer.ResultStream
-			if rs, err = f.eng.stream.QueryStream(actx, addr, queryText); err == nil {
-				res, err = rs.Result()
-			}
-		} else {
-			res, err = f.eng.client.QueryContext(actx, addr, queryText)
-		}
-		release()
-		if err != nil {
-			return nil, err
-		}
-		// accounted inside the attempt, not after callRetry: a hedged
-		// loser that completed at the peer cost a real message and must
-		// keep RemoteCalls aligned with the network's own call count
-		f.mu.Lock()
-		f.calls++
-		if bindings > 1 {
-			f.batches++
-		}
-		f.sources[src.Name] = true
-		f.mu.Unlock()
-		return res, nil
+// query sends one query text to one source and returns its rows as
+// bindings over vars. bindings is the probe batch size the query carries
+// (0: not a probe). The call runs under the fetcher's retry policy
+// (callRetry): transient failures are retried with backoff across the
+// source's replica set, hedged when Options.Hedge. Each attempt reads into
+// rows of its own, so a hedged race returns only the winner's.
+func (f *fetcher) query(ctx context.Context, src peer.Entry, queryText string, vars []string, bindings int) ([]pattern.Binding, error) {
+	return callRetry(f, ctx, src, func(actx context.Context, addr string) ([]pattern.Binding, error) {
+		var rows []pattern.Binding
+		err := f.read(actx, addr, src, queryText, vars, bindings, func(mu pattern.Binding) error {
+			rows = append(rows, mu)
+			return nil
+		})
+		return rows, err
 	})
 }
 
-// resultBindings turns a peer's result into solution mappings over vars,
-// accounting shipped rows. ASK results become the empty binding (the
-// identity of the compatibility join) when true. Rows with unbound
-// variables are dropped, as before.
-func (f *fetcher) resultBindings(res *sparql.Result, vars []string) []pattern.Binding {
-	if res.Form == sparql.FormAsk {
-		if !res.True {
-			return nil
-		}
-		f.addRows(1)
-		return []pattern.Binding{{}}
+// read is the body of one attempt of a sub-query: it takes an in-flight
+// slot of addr, opens the query's result stream there under the attempt's
+// context, and hands emit each row as a binding over vars, stopping at
+// emit's first error. An ASK that holds is the empty binding (the identity
+// of the compatibility join); rows with unbound variables are dropped.
+//
+// The stream is opened and read to its end inside the attempt, so the
+// retry loop treats it as one unit of failure: an ASK stops the peer's
+// scan at the first row, a stream that dies mid-flight is a transient
+// error the retry loop restarts from scratch, and an attempt whose context
+// ends — a hedged loser, a closed plan leaf — abandons its stream. A
+// completed read counts ONE RemoteCalls message however many chunk pulls
+// it took: RemoteCalls counts logical sub-queries, and the per-chunk round
+// trips show up in the network's own call statistics. It is counted inside
+// the attempt, because a hedged loser that completed at the peer cost a
+// real message too.
+func (f *fetcher) read(ctx context.Context, addr string, src peer.Entry, queryText string, vars []string, bindings int, emit func(pattern.Binding) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	f.addRows(len(res.Rows))
-	out := make([]pattern.Binding, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	defer f.acquire(addr)()
+	rs, err := f.eng.open(ctx, addr, queryText)
+	if err != nil {
+		return err
+	}
+	defer rs.Close()
+	n := 0
+rows:
+	for {
+		row, ok, err := rs.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		n++
 		mu := make(pattern.Binding, len(vars))
-		ok := true
 		for i, v := range vars {
 			if row[i].IsZero() {
-				ok = false
-				break
+				continue rows
 			}
 			mu[v] = row[i]
 		}
-		if ok {
-			out = append(out, mu)
+		if err := emit(mu); err != nil {
+			return err
 		}
 	}
-	return out
-}
-
-func (f *fetcher) addRows(n int) {
+	if rs.Ask() && rs.True() {
+		n++
+		if err := emit(pattern.Binding{}); err != nil {
+			return err
+		}
+	}
 	f.mu.Lock()
-	f.rows += n
+	f.m.RowsFetched += n
+	f.m.RemoteCalls++
+	if bindings > 1 {
+		f.m.Batches++
+	}
+	f.sources[src.Name] = true
 	f.mu.Unlock()
+	return nil
 }
 
 // mergeBindings concatenates per-source (or per-chunk) binding lists in
@@ -495,16 +429,12 @@ func (f *fetcher) fetchMerged(ctx context.Context, candidates []peer.Entry, quer
 	perSrc := make([][]pattern.Binding, len(candidates))
 	errs := make([]error, len(candidates))
 	plan.Fanout(len(candidates), func(i int) {
-		res, err := f.query(ctx, candidates[i], queryText, bindings)
-		if err != nil {
-			if f.partial && ctx.Err() == nil && retryable(err) {
-				f.skipSource(candidates[i], err)
-				return
-			}
-			errs[i] = err
+		rows, err := f.query(ctx, candidates[i], queryText, vars, bindings)
+		if err != nil && f.partial && ctx.Err() == nil && retryable(err) {
+			f.skipSource(candidates[i], err)
 			return
 		}
-		perSrc[i] = f.resultBindings(res, vars)
+		perSrc[i], errs[i] = rows, err
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -521,19 +451,14 @@ func (f *fetcher) fetchMerged(ctx context.Context, candidates []peer.Entry, quer
 // of disjunctPlan comes through here.
 func (f *fetcher) joinStep(ctx context.Context, tp pattern.TriplePattern, acc []pattern.Binding) (ext []pattern.Binding, shipped bool, err error) {
 	restrictions, shipped := restrictionsOf(acc, tp.Vars(), f.eng.opts.bindLimit())
-	f.mu.Lock()
-	if shipped {
-		f.bindSteps++
-	} else {
-		f.extSteps++
-	}
-	f.mu.Unlock()
-	if shipped {
-		ext, err = f.probe(ctx, tp, restrictions)
-	} else {
+	if !shipped {
+		f.count(&f.m.ExtensionSteps, nil)
 		ext, err = f.fetchPattern(ctx, tp)
+		return ext, false, err
 	}
-	return ext, shipped, err
+	f.count(&f.m.BindSteps, nil)
+	ext, err = f.probe(ctx, tp, restrictions)
+	return ext, true, err
 }
 
 // probe retrieves the fragment of tp's extension compatible with the given

@@ -28,12 +28,13 @@ func deployOn(sys *core.System, net *simnet.Network, opts federation.Options) *f
 	return deployWireOn(sys, net, opts, false)
 }
 
-// oneShotClient hides peer.Client's QueryStream: a mediator over it takes
-// the one-shot wire, as one over any non-streaming client does.
+// oneShotClient hides peer.Client's QueryStream: a mediator over it reads
+// each whole answer as a one-frame stream, as it does over any client that
+// has only QueryContext (rpsd's in-process client, for one).
 type oneShotClient struct{ federation.Client }
 
-// deployWireOn is deployOn with the mediator on the one-shot wire when
-// oneShot is set, on the streamed wire otherwise.
+// deployWireOn is deployOn with the mediator over oneShotClient when
+// oneShot is set, over peer.Client's streams otherwise.
 func deployWireOn(sys *core.System, net *simnet.Network, opts federation.Options, oneShot bool) *federation.Engine {
 	reg := peer.NewRegistry()
 	peer.Deploy(sys, net, reg)
@@ -561,4 +562,38 @@ func probeChainSystem(t testing.TB, n int) (*core.System, pattern.Query) {
 		pattern.TP(pattern.V("y"), pattern.C(name), pattern.V("n")),
 	})
 	return sys, q
+}
+
+// Engine.Plan is one plan whatever the client: over a client that answers
+// only whole (oneShotClient) its leaves stream as they do over
+// peer.Client, the EXPLAIN is the same, and both drain to the same rows.
+func TestPlanSameOverEveryClient(t *testing.T) {
+	sys, q := renameFanSystem(t, 3, 20)
+	var explains []string
+	var results []*pattern.TupleSet
+	for _, oneShot := range []bool{false, true} {
+		eng := deployWireOn(sys, simnet.New(), federation.Options{}, oneShot)
+		pq, err := eng.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explains = append(explains, pq.Explain())
+		got := pattern.NewTupleSet()
+		for _, mu := range plan.Drain(pq.Root.Open(context.Background(), nil)) {
+			got.Add(pattern.Tuple{mu["x"], mu["y"]})
+		}
+		if err := pq.Err(); err != nil {
+			t.Fatalf("oneShot=%v: %v", oneShot, err)
+		}
+		results = append(results, got)
+	}
+	if !strings.Contains(explains[0], " stream") {
+		t.Errorf("plan over peer.Client has no streamed leaf:\n%s", explains[0])
+	}
+	if explains[0] != explains[1] {
+		t.Errorf("EXPLAIN differs by client:\npeer.Client:\n%s\noneShotClient:\n%s", explains[0], explains[1])
+	}
+	if results[0].Len() != 3*20 || !results[0].Equal(results[1]) {
+		t.Errorf("drained rows differ by client: %d vs %d rows", results[0].Len(), results[1].Len())
+	}
 }

@@ -41,19 +41,18 @@ func (p *PlannedQuery) Explain() string {
 }
 
 // Plan builds the federated plan of q without executing it. It is the plan
-// AnswerCtx drains, except that with a streaming client the leaves that
-// fetch whole extensions stream them and the disjunct union merges rows as
-// branches produce them — a consumer that stops early (LIMIT, ASK, a
-// closed iterator) then reaches into the remote scans. The RemoteScan
-// annotations — source fan-out, the bind-or-fetch rule of a step
-// (bind<=N batch=B), in-flight window — describe how the executor crosses
-// the network.
+// AnswerCtx drains, except that the leaves that fetch whole extensions
+// stream them and the disjunct union merges rows as branches produce them
+// — a consumer that stops early (LIMIT, ASK, a closed iterator) then
+// reaches into the remote scans. The RemoteScan annotations — source
+// fan-out, the bind-or-fetch rule of a step (bind<=N batch=B), in-flight
+// window — describe how the executor crosses the network.
 func (e *Engine) Plan(q pattern.Query) (*PlannedQuery, error) {
 	res, err := e.rewriteQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.planUCQ(res, e.stream != nil), nil
+	return e.planUCQ(res, true), nil
 }
 
 // Explain renders the federated plan of q.

@@ -119,11 +119,11 @@ func callRetry[T any](f *fetcher, ctx context.Context, src peer.Entry, do func(c
 		if !ok {
 			// every endpoint's circuit is open: fail fast instead of
 			// burning the attempt budget against known-down endpoints
-			f.countFastFail()
+			f.count(&f.m.BreakerFastFails, obsBreakerReject)
 			return zero, wrapAttempts(src, attempt-1, f.eng.health.downError(g))
 		}
 		if lastAddr != "" && addr != lastAddr {
-			f.countFailover()
+			f.count(&f.m.Failovers, obsFailovers)
 		}
 		lastAddr = addr
 		res, err := attemptCall(f, ctx, g, addr, do)
@@ -137,7 +137,7 @@ func callRetry[T any](f *fetcher, ctx context.Context, src peer.Entry, do func(c
 			}
 			return zero, wrapAttempts(src, attempt, lastErr)
 		}
-		f.countRetry()
+		f.count(&f.m.Retries, obsRetryAttempts)
 		tried[addr] = true
 		if len(tried) >= len(g.Endpoints) {
 			// a full failover cycle failed; start over across the set
@@ -215,7 +215,7 @@ func attemptCall[T any](f *fetcher, ctx context.Context, g PeerGroup, addr strin
 			outstanding--
 			if out.err == nil {
 				if out.alt {
-					f.countHedgeWin()
+					f.count(&f.m.HedgeWins, obsHedgeWins)
 				}
 				hcancel() // the loser is abandoned at the transport where possible
 				return out.res, nil
@@ -234,7 +234,7 @@ func attemptCall[T any](f *fetcher, ctx context.Context, g PeerGroup, addr strin
 			if !ok {
 				continue
 			}
-			f.countHedge()
+			f.count(&f.m.Hedges, obsHedgeLaunched)
 			launch(alt, true)
 			outstanding++
 		}

@@ -40,7 +40,7 @@ func TestSingleflightFreshAttemptAfterFailure(t *testing.T) {
 	}()
 	for {
 		f.mu.Lock()
-		parked := f.cacheHits == 1
+		parked := f.m.CacheHits == 1
 		f.mu.Unlock()
 		if parked {
 			break

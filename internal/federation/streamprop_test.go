@@ -18,10 +18,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// The streaming wire protocol is an encoding change, not a semantics
-// change: on random peer systems, the streaming engine, the one-shot
-// engine (over a client without QueryStream) and the single-store chase
-// oracle must agree exactly.
+// How a client delivers a result is not a semantics change: on random peer
+// systems, the engine over peer.Client's streams, the engine over a client
+// that answers only whole (each answer read as a one-frame stream) and the
+// single-store chase oracle must agree exactly.
 func TestStreamedMatchesOneShotProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -119,7 +119,8 @@ func TestStreamCancellationProperty(t *testing.T) {
 
 // Early termination must reach the peers: an ASK-shaped probe (first row
 // wins) and a LIMIT-shaped truncated drain over streamed scans leave the
-// bulk of the extension unproduced at the peer, where the one-shot wire
+// bulk of the extension unproduced at the peer, where a client that
+// answers only whole (oneShotClient: simnet's stream read to the end)
 // always pays for every row. Pinned on the peers' produced-rows counters.
 func TestStreamEarlyStopProducesFewerRows(t *testing.T) {
 	const facts = 2000 // many chunks, so early stop leaves most unpulled

@@ -36,8 +36,8 @@ func TestValuesProbeBatchIsOnePatternScan(t *testing.T) {
 		t.Errorf("VALUES probes: %d pattern scans, want 3 (one per hop)", got)
 	}
 
-	// the one-shot wire changes the encoding, not the evaluation: still one
-	// scan per VALUES batch
+	// a client that answers only whole changes the delivery, not the
+	// evaluation: still one scan per VALUES batch
 	if got := scansDuring(true); got != 3 {
 		t.Errorf("VALUES probes over the one-shot wire: %d pattern scans, want 3", got)
 	}

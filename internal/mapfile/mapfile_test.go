@@ -128,7 +128,7 @@ func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		"peer onlyname",
 		"peer p missing.ttl",
-		"gma a b SELECT ?x WHERE { ?x ?p ?o }",            // missing colon
+		"gma a b SELECT ?x WHERE { ?x ?p ?o }", // missing colon
 		"gma a : SELECT ?x WHERE { ?x ?p ?o } ~> SELECT ?x WHERE { ?x ?p ?o }", // one peer name
 		"eq onlyone",
 		"sameas nope",

@@ -41,7 +41,7 @@ func (s *HTTPService) RowsProduced() int64 { return s.rowsProduced.Load() }
 // a server-side deadline fires, the query stops producing tuples and the
 // handler answers 503.
 func (s *HTTPService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	queryText, err := extractQuery(w, r)
+	queryText, err := ExtractQuery(w, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -137,7 +137,13 @@ func (s *HTTPService) serveStream(w http.ResponseWriter, r *http.Request, q *spa
 	emit(streamFrame{Done: true, Produced: rs.Produced()})
 }
 
-func extractQuery(w http.ResponseWriter, r *http.Request) (string, error) {
+// ExtractQuery reads the query text of a SPARQL 1.1 Protocol request: the
+// "query" URL parameter of a GET, the body of a POST sent as
+// application/sparql-query, or the "query" field of a form POST. Bodies are
+// read in full (a single Read call would truncate chunked or large
+// requests) but capped at 1 MiB, so a hostile client cannot exhaust memory;
+// a request it cannot read is the caller's 400.
+func ExtractQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query().Get("query")
@@ -148,9 +154,6 @@ func extractQuery(w http.ResponseWriter, r *http.Request) (string, error) {
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if strings.HasPrefix(ct, "application/sparql-query") {
-			// read the whole body — a single Read call would truncate
-			// chunked or large requests — but cap it so a hostile client
-			// cannot exhaust memory
 			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 			if err != nil {
 				return "", err
@@ -185,7 +188,12 @@ func (c *HTTPClient) Query(endpoint, queryText string) (*sparql.Result, error) {
 // QueryContext is Query bound to a request context: the POST inherits the
 // context's deadline and is abandoned if the caller cancels.
 func (c *HTTPClient) QueryContext(ctx context.Context, endpoint, queryText string) (*sparql.Result, error) {
-	body, err := c.post(ctx, endpoint, "application/sparql-query", queryText)
+	resp, err := c.post(ctx, endpoint, queryText, "")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -201,24 +209,9 @@ func (c *HTTPClient) QueryContext(ctx context.Context, endpoint, queryText strin
 // stream early closes the response body, which cancels the server's
 // request context and stops the remote scan.
 func (c *HTTPClient) QueryStream(ctx context.Context, endpoint, queryText string) (*ResultStream, error) {
-	hc := c.Client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, strings.NewReader(queryText))
+	resp, err := c.post(ctx, endpoint, queryText, StreamContentType)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/sparql-query")
-	req.Header.Set("Accept", StreamContentType)
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return nil, &StatusError{Endpoint: endpoint, Code: resp.StatusCode, Status: resp.Status, Body: strings.TrimSpace(string(out))}
 	}
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), StreamContentType) {
 		// one-shot fallback: the peer does not speak the stream protocol
@@ -231,7 +224,7 @@ func (c *HTTPClient) QueryStream(ctx context.Context, endpoint, queryText string
 		if err != nil {
 			return nil, err
 		}
-		return oneShotStream(res), nil
+		return OneShotStream(res), nil
 	}
 	dec := json.NewDecoder(resp.Body)
 	var head streamFrame
@@ -263,29 +256,38 @@ func (c *HTTPClient) QueryStream(ctx context.Context, endpoint, queryText string
 	return s, nil
 }
 
-func (c *HTTPClient) post(ctx context.Context, endpoint, contentType, body string) ([]byte, error) {
+// maxErrorBody caps how much of a non-200 answer's body a StatusError
+// keeps (64 KiB). The body is outside input; a successful document is read
+// whole, because answers can be large.
+const maxErrorBody = 64 << 10
+
+// post sends queryText to the endpoint as a SPARQL-protocol POST, asking
+// for the accept content type when it is set, and returns the 200 answer
+// with its body unread. Any other status is a StatusError carrying at most
+// maxErrorBody bytes of the body.
+func (c *HTTPClient) post(ctx context.Context, endpoint, queryText, accept string) (*http.Response, error) {
 	hc := c.Client
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, strings.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, strings.NewReader(queryText))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/sparql-query")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		return nil, &StatusError{Endpoint: endpoint, Code: resp.StatusCode, Status: resp.Status, Body: strings.TrimSpace(string(out))}
 	}
-	return out, nil
+	return resp, nil
 }
 
 // StatusError is a non-200 answer from a SPARQL endpoint, typed so callers

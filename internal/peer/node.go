@@ -13,10 +13,6 @@ import (
 	"repro/internal/sparql"
 )
 
-// MsgSPARQL is the message type of a SPARQL query request; the payload is
-// the query text and the response payload a SPARQL JSON results document.
-const MsgSPARQL = "sparql"
-
 // Node serves one peer's stored database on a simulated network address.
 type Node struct {
 	name string
@@ -58,16 +54,6 @@ func (n *Node) QueriesServed() int {
 
 func (n *Node) handle(from string, req simnet.Message) (simnet.Message, error) {
 	switch req.Type {
-	case MsgSPARQL:
-		res, err := n.Answer(string(req.Payload))
-		if err != nil {
-			return simnet.Message{}, fmt.Errorf("peer %s: %w", n.name, err)
-		}
-		payload, err := EncodeResult(res)
-		if err != nil {
-			return simnet.Message{}, err
-		}
-		return simnet.Message{Type: MsgSPARQL, Payload: payload}, nil
 	case MsgSPARQLStreamOpen:
 		return n.handleStreamOpen(string(req.Payload))
 	case MsgSPARQLStreamNext:
@@ -78,22 +64,6 @@ func (n *Node) handle(from string, req simnet.Message) (simnet.Message, error) {
 	default:
 		return simnet.Message{}, fmt.Errorf("peer %s: unsupported message type %q", n.name, req.Type)
 	}
-}
-
-// Answer evaluates a SPARQL query text over the node's local database.
-func (n *Node) Answer(queryText string) (*sparql.Result, error) {
-	q, err := sparql.Parse(queryText, nil)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	n.queries++
-	n.mu.Unlock()
-	res := q.Eval(n.peer.Data())
-	// count one-shot rows as produced too, so stream-vs-one-shot cost
-	// comparisons read off the same counter
-	n.rowsProduced.Add(int64(res.Len()))
-	return res, nil
 }
 
 // Client issues SPARQL queries to nodes over the network.
@@ -107,23 +77,19 @@ func NewClient(net *simnet.Network, from string) *Client {
 	return &Client{net: net, from: from}
 }
 
-// Query sends the query text to addr and decodes the result.
+// Query sends the query text to addr and returns the whole result.
 func (c *Client) Query(addr, queryText string) (*sparql.Result, error) {
-	resp, err := c.net.Call(c.from, addr, simnet.Message{Type: MsgSPARQL, Payload: []byte(queryText)})
+	return c.QueryContext(context.Background(), addr, queryText)
+}
+
+// QueryContext is Query under a request context: the result stream
+// (QueryStream) read to the end, every pull gated by ctx.
+func (c *Client) QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error) {
+	rs, err := c.QueryStream(ctx, addr, queryText)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeResult(resp.Payload)
-}
-
-// QueryContext is Query under a request context. The simulated network has
-// no in-flight cancellation, so the check happens before the call: a
-// context that is already done short-circuits without sending the message.
-func (c *Client) QueryContext(ctx context.Context, addr, queryText string) (*sparql.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Query(addr, queryText)
+	return rs.Result()
 }
 
 // Entry describes one peer known to the registry.

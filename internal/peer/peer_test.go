@@ -1,6 +1,9 @@
 package peer_test
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -126,7 +129,7 @@ func TestNodeRejectsBadMessages(t *testing.T) {
 	if _, err := net.Call("client", "peer:source1", simnet.Message{Type: "bogus"}); err == nil {
 		t.Error("bad message type should error")
 	}
-	if _, err := net.Call("client", "peer:source1", simnet.Message{Type: peer.MsgSPARQL, Payload: []byte("NOT A QUERY")}); err == nil {
+	if _, err := net.Call("client", "peer:source1", simnet.Message{Type: peer.MsgSPARQLStreamOpen, Payload: []byte("NOT A QUERY")}); err == nil {
 		t.Error("bad query should error")
 	}
 }
@@ -220,4 +223,35 @@ func TestHTTPServiceGetForm(t *testing.T) {
 	if resp2.StatusCode != 400 {
 		t.Errorf("missing query status = %d", resp2.StatusCode)
 	}
+}
+
+// A non-200 answer is outside input: its body must not be read whole into
+// the StatusError, on either the one-shot or the stream request, and a 503
+// must stay retryable however large its body.
+func TestHTTPErrorBodyBounded(t *testing.T) {
+	const limit = 64 << 10 // the client's error-body cap
+	huge := strings.Repeat("x", 8<<20)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = w.Write([]byte(huge))
+	}))
+	defer srv.Close()
+	c := &peer.HTTPClient{}
+	check := func(name string, err error) {
+		t.Helper()
+		var se *peer.StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a StatusError", name, err)
+		}
+		if se.Code != http.StatusServiceUnavailable || len(se.Body) > limit {
+			t.Errorf("%s: code %d, body of %d bytes, want 503 and at most %d", name, se.Code, len(se.Body), limit)
+		}
+		if !peer.Retryable(err) {
+			t.Errorf("%s: a 503 must be retryable", name)
+		}
+	}
+	_, err := c.Query(srv.URL, "ASK { ?s ?p ?o }")
+	check("Query", err)
+	_, err = c.QueryStream(context.Background(), srv.URL, "ASK { ?s ?p ?o }")
+	check("QueryStream", err)
 }

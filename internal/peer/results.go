@@ -5,20 +5,17 @@
 // P2P literature the paper cites — tracks peer addresses and schemas for
 // source selection.
 //
-// Results travel in two wire encodings. The original one-shot encoding is a
-// W3C SPARQL JSON results document: the peer fully evaluates the query,
-// then ships every row in one response. The streaming encoding (see
-// stream.go) frames the same rows into chunks — a header frame with the
-// projection (or the ASK verdict), row-chunk frames of up to StreamChunk
-// rows, and a trailer frame with the peer-side produced-rows count and any
-// evaluation error — so the first rows reach the mediator while the scan is
-// still running, and a consumer that stops early (ASK satisfied, LIMIT
-// reached, hedged request lost the race) closes the stream and the peer
-// abandons the rest of the scan. Version negotiation is per-request: an
-// HTTP client asks for the stream encoding via the Accept header and falls
-// back when the response carries the one-shot content type, and a simnet
-// client that opens a stream against an old node gets an unsupported-
-// message error and falls back likewise, so mixed deployments interoperate.
+// Every client reads a result as a ResultStream (see stream.go): a header
+// frame with the projection (or the ASK verdict), row-chunk frames of up to
+// StreamChunk rows, and a trailer frame with the peer-side produced-rows
+// count and any evaluation error — so the first rows reach the mediator
+// while the scan is still running, and a consumer that stops early (ASK
+// satisfied, LIMIT reached, hedged request lost the race) closes the
+// stream and the peer abandons the rest of the scan. Simnet nodes speak
+// only this stream. HTTP endpoints also serve the W3C SPARQL JSON results
+// document — the one-shot encoding, every row in one response — to clients
+// that do not ask for the stream in their Accept header; a streaming
+// client that gets one reads it as a one-frame stream (OneShotStream).
 package peer
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/pattern"
@@ -25,21 +24,23 @@ import (
 // federated sub-query — closes the stream and the peer abandons the rest of
 // the scan instead of draining it.
 //
-// Over simnet the stream is pull-based: MsgSPARQLStreamOpen carries the
-// query text and answers with the header plus the first chunk (and a stream
-// id while more remain), MsgSPARQLStreamNext pulls one more chunk, and
-// MsgSPARQLStreamClose tears the stream down early. Every chunk is one
-// network call, so fault injection (FailAfter, flaky links) kills streams
-// mid-flight exactly like real networks do, and per-payload byte accounting
-// measures what actually crossed the wire.
+// Over simnet the stream is the only wire, and it is pull-based:
+// MsgSPARQLStreamOpen carries the query text and answers with the header
+// plus the first chunk (and a stream id while more remain),
+// MsgSPARQLStreamNext pulls one more chunk, and MsgSPARQLStreamClose tears
+// the stream down early. A whole result (Client.Query) is the stream read
+// to the end. Every chunk is one network call, so fault injection
+// (FailAfter, flaky links) kills streams mid-flight exactly like real
+// networks do, and per-payload byte accounting measures what actually
+// crossed the wire.
 //
-// Over HTTP the client negotiates by sending "Accept: StreamContentType";
-// a streaming server answers with that content type and newline-delimited
-// JSON frames (flushed per chunk), closing the response body cancels the
-// server's request context mid-scan, and an old server simply ignores the
-// Accept header and answers with the one-shot document — the client detects
-// the content type and falls back, so the two protocol generations
-// interoperate in both directions.
+// Over HTTP the encoding is negotiated per request: the client sends
+// "Accept: StreamContentType", a streaming server answers with that content
+// type and newline-delimited JSON frames (flushed per chunk), and closing
+// the response body cancels the server's request context mid-scan. A
+// server that ignores the Accept header answers with the one-shot document;
+// the client detects the content type and reads it as a one-frame stream
+// (OneShotStream), so either server generation serves a streaming client.
 
 // StreamContentType is the content type of a chunked (NDJSON-framed) result
 // stream over HTTP. Servers answer with it only when the client's Accept
@@ -244,9 +245,11 @@ func (s *ResultStream) Result() (*sparql.Result, error) {
 	return res, nil
 }
 
-// oneShotStream wraps a materialised result as a ResultStream — the
-// compatibility fallback when the peer answered with the one-shot document.
-func oneShotStream(res *sparql.Result) *ResultStream {
+// OneShotStream reads a materialised result as an already-finished
+// ResultStream: the one-shot document as a one-frame stream, for a server
+// that answered without the stream encoding or a client that can only
+// answer whole.
+func OneShotStream(res *sparql.Result) *ResultStream {
 	s := &ResultStream{finished: true}
 	if res.Form == sparql.FormAsk {
 		s.ask, s.askTrue = true, res.True
@@ -446,9 +449,8 @@ func encodeFrame(fr streamFrame) (simnet.Message, error) {
 }
 
 // RowsProduced reports how many solution rows this node's evaluator has
-// produced across every request — one-shot and streamed alike. Early
-// terminated streams stop adding to it: the observable proof that closing
-// the stream stopped the scan.
+// produced across every request. Early terminated streams stop adding to
+// it: the observable proof that closing the stream stopped the scan.
 func (n *Node) RowsProduced() int64 { return n.rowsProduced.Load() }
 
 // ---------------------------------------------------------------- client
@@ -464,14 +466,6 @@ func (c *Client) QueryStream(ctx context.Context, addr, queryText string) (*Resu
 	}
 	resp, err := c.net.Call(c.from, addr, simnet.Message{Type: MsgSPARQLStreamOpen, Payload: []byte(queryText)})
 	if err != nil {
-		if strings.Contains(err.Error(), "unsupported message type") {
-			// the node predates the stream protocol: fall back to one-shot
-			res, qerr := c.Query(addr, queryText)
-			if qerr != nil {
-				return nil, qerr
-			}
-			return oneShotStream(res), nil
-		}
 		return nil, err
 	}
 	var fr streamFrame

@@ -60,8 +60,9 @@ func drainStream(t *testing.T, rs *peer.ResultStream) []pattern.Tuple {
 
 const wideQuery = `SELECT ?x ?y WHERE { ?x <http://e/P0> ?y . }`
 
-// A multi-chunk stream over simnet must deliver exactly the one-shot rows:
-// same projection, every row once, trailer carrying the peer-side cost.
+// A multi-chunk stream over simnet, pulled row by row, must deliver exactly
+// the rows of Client.Query (the same stream read to the end): same
+// projection, every row once, trailer carrying the peer-side cost.
 func TestSimnetStreamRoundTrip(t *testing.T) {
 	const facts = 300 // > 2 chunks of StreamChunk=128
 	_, net, _ := deployWidePeer(t, facts)
@@ -152,42 +153,14 @@ func TestSimnetStreamEarlyCloseStopsProducing(t *testing.T) {
 		t.Error("pull after close should report an unknown stream")
 	}
 
-	// the one-shot wire pays the full extension for the same first row
+	// reading the whole result (Client.Query: the same stream read to the
+	// end) pays the full extension for the same first row
 	before := node.RowsProduced()
 	if _, err := c.Query("peer:wide", wideQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := node.RowsProduced() - before; got != facts {
 		t.Errorf("one-shot produced %d rows, want %d", got, facts)
-	}
-}
-
-// A node that predates the stream protocol rejects the stream-open message;
-// the client falls back to the one-shot wire transparently.
-func TestSimnetStreamOneShotFallback(t *testing.T) {
-	sys, net, _ := deployWidePeer(t, 150)
-	g := sys.Peer("wide").Data()
-	// a legacy endpoint: speaks MsgSPARQL only, like nodes before the
-	// stream protocol existed
-	net.Register("peer:legacy", func(from string, req simnet.Message) (simnet.Message, error) {
-		if req.Type != peer.MsgSPARQL {
-			return simnet.Message{}, fmt.Errorf("peer legacy: unsupported message type %q", req.Type)
-		}
-		res := sparql.MustParse(string(req.Payload)).Eval(g)
-		payload, err := peer.EncodeResult(res)
-		if err != nil {
-			return simnet.Message{}, err
-		}
-		return simnet.Message{Type: peer.MsgSPARQL, Payload: payload}, nil
-	})
-	c := peer.NewClient(net, "client")
-	rs, err := c.QueryStream(context.Background(), "peer:legacy", wideQuery)
-	if err != nil {
-		t.Fatalf("fallback to one-shot failed: %v", err)
-	}
-	rows := drainStream(t, rs)
-	if len(rows) != 150 {
-		t.Errorf("fallback streamed %d rows, want 150", len(rows))
 	}
 }
 

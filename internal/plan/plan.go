@@ -234,7 +234,9 @@ func (st *statsCtx) predTop(p rdf.Term) []rdf.ObjectCount {
 		return t
 	}
 	var t []rdf.ObjectCount
-	if hg, ok := st.g.(interface{ PredTopObjects(rdf.Term) []rdf.ObjectCount }); ok {
+	if hg, ok := st.g.(interface {
+		PredTopObjects(rdf.Term) []rdf.ObjectCount
+	}); ok {
 		t = hg.PredTopObjects(p)
 	}
 	if st.top == nil {

@@ -105,12 +105,12 @@ func TestCodecRejectsCorruption(t *testing.T) {
 // string lengths pointing past the payload.
 func TestCodecRejectsInvalidShapes(t *testing.T) {
 	cases := [][]byte{
-		{},                          // empty
-		{0x01},                      // epoch only
+		{},     // empty
+		{0x01}, // epoch only
 		{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge op count
-		{0x01, 0x01, 0x07},          // bad op flag
-		{0x01, 0x01, 0x00, 0x07},    // term tag with invalid kind bits combo (datatype on IRI)
-		{0x01, 0x01, 0x00, 0x0f},    // both datatype and lang
+		{0x01, 0x01, 0x07},                                     // bad op flag
+		{0x01, 0x01, 0x00, 0x07},                               // term tag with invalid kind bits combo (datatype on IRI)
+		{0x01, 0x01, 0x00, 0x0f},                               // both datatype and lang
 		{0x01, 0x01, 0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0x7f}, // string length past payload
 	}
 	for i, b := range cases {

@@ -14,8 +14,8 @@ import (
 type capturePersistence struct {
 	mu      sync.Mutex
 	recs    []CommitRecord
-	logErr  error // returned by LogCommit when set
-	waitErr error // returned by WaitDurable when set
+	logErr  error         // returned by LogCommit when set
+	waitErr error         // returned by WaitDurable when set
 	gate    chan struct{} // when set, LogCommit blocks until it closes
 	entered chan struct{} // closed once a LogCommit call reaches the gate
 	once    sync.Once
@@ -65,9 +65,9 @@ func TestPersistenceSeesEffectiveOps(t *testing.T) {
 	t2 := Triple{S: IRI("http://e/s2"), P: IRI("http://e/p"), O: IRI("http://e/o2")}
 	t3 := Triple{S: IRI("http://e/s3"), P: IRI("http://e/q"), O: Literal("x")}
 
-	g.Add(t1)          // rec 1: epoch 1, [add t1]
-	g.Add(t1)          // duplicate: no record
-	g.Remove(t3)       // absent: no record
+	g.Add(t1)    // rec 1: epoch 1, [add t1]
+	g.Add(t1)    // duplicate: no record
+	g.Remove(t3) // absent: no record
 	b := g.NewBatch()
 	b.Add(t2)
 	b.Add(t1) // duplicate inside batch: not effective

@@ -160,9 +160,9 @@ func TestTripleValid(t *testing.T) {
 		{Triple{iri, iri, iri}, true},
 		{Triple{bl, iri, lit}, true},
 		{Triple{iri, iri, bl}, true},
-		{Triple{lit, iri, iri}, false},  // literal subject
-		{Triple{iri, bl, iri}, false},   // blank predicate
-		{Triple{iri, lit, iri}, false},  // literal predicate
+		{Triple{lit, iri, iri}, false}, // literal subject
+		{Triple{iri, bl, iri}, false},  // blank predicate
+		{Triple{iri, lit, iri}, false}, // literal predicate
 		{Triple{Term{}, iri, iri}, false},
 	}
 	for _, tc := range tests {

@@ -16,23 +16,23 @@ import (
 type tokenKind int
 
 const (
-	tokEOF tokenKind = iota
-	tokIRIRef          // <...>
-	tokPName           // prefix:local or prefix: or :local
-	tokBlank           // _:label
-	tokLiteral         // "..." (value carries unescaped form)
-	tokLangTag         // @en
-	tokDoubleCaret     // ^^
-	tokDot             // .
-	tokSemicolon       // ;
-	tokComma           // ,
-	tokLBracket        // [
-	tokRBracket        // ]
-	tokPrefixDirective // @prefix or PREFIX
-	tokBaseDirective   // @base or BASE
-	tokA               // the keyword 'a'
-	tokNumber          // integer/decimal/double literal shorthand
-	tokBoolean         // true / false
+	tokEOF             tokenKind = iota
+	tokIRIRef                    // <...>
+	tokPName                     // prefix:local or prefix: or :local
+	tokBlank                     // _:label
+	tokLiteral                   // "..." (value carries unescaped form)
+	tokLangTag                   // @en
+	tokDoubleCaret               // ^^
+	tokDot                       // .
+	tokSemicolon                 // ;
+	tokComma                     // ,
+	tokLBracket                  // [
+	tokRBracket                  // ]
+	tokPrefixDirective           // @prefix or PREFIX
+	tokBaseDirective             // @base or BASE
+	tokA                         // the keyword 'a'
+	tokNumber                    // integer/decimal/double literal shorthand
+	tokBoolean                   // true / false
 )
 
 func (k tokenKind) String() string {

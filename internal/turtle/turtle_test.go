@@ -186,8 +186,8 @@ func TestParseErrors(t *testing.T) {
 		`<http://e/s> "lit" <http://e/o> .`,      // literal predicate
 		`_: <http://e/p> <http://e/o> .`,         // empty blank label
 		`<http://e/s> <http://e/p> "unterminated .`,
-		`@prefix ex <http://e/> .`,               // missing colon in prefix
-		`<http://e/s> <http://e/p> "x"^^ .`,      // missing datatype IRI
+		`@prefix ex <http://e/> .`,          // missing colon in prefix
+		`<http://e/s> <http://e/p> "x"^^ .`, // missing datatype IRI
 	}
 	for _, input := range bad {
 		if _, err := NewParser(input, nil).Parse(); err == nil {

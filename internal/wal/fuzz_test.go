@@ -34,11 +34,11 @@ func FuzzWALDecode(f *testing.F) {
 		rdf.CommitRecord{Epoch: 3, Ops: []rdf.Op{{T: t2}, {Del: true, T: t1}}},
 	)
 	f.Add(valid, uint64(0))
-	f.Add(valid[:len(valid)-3], uint64(0))          // torn payload
-	f.Add(valid[:len(magic)+5], uint64(0))          // torn header
-	f.Add([]byte(magic), uint64(0))                 // empty segment
+	f.Add(valid[:len(valid)-3], uint64(0)) // torn payload
+	f.Add(valid[:len(magic)+5], uint64(0)) // torn header
+	f.Add([]byte(magic), uint64(0))        // empty segment
 	f.Add([]byte("not a segment at all"), uint64(0))
-	f.Add(valid, uint64(2))                         // prevEpoch rejects first record
+	f.Add(valid, uint64(2)) // prevEpoch rejects first record
 	dup := append(append([]byte{}, valid...), valid[len(magic):]...)
 	f.Add(dup, uint64(0)) // duplicated records: epoch regression must stop the scan
 	flip := append([]byte{}, valid...)

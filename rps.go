@@ -47,12 +47,13 @@
 // and the parallel disjunct union consume rows as chunks arrive, and
 // closing the plan early — ASK satisfied, LIMIT reached, a
 // canceled query — closes the remote streams so peers stop scanning.
-// Old peers that only speak the one-shot document interoperate through
-// version negotiation, and a client that cannot stream gets the one-shot
-// wire. Federated plans are first-class: EXPLAIN shows per-disjunct
-// mediator plans with RemoteScan leaves in join order, annotated with
-// source fan-out, the bind-or-fetch rule of each step and the in-flight
-// window, and EXPLAIN ANALYZE adds the branch each step took (rpsquery
+// Over HTTP the encoding is negotiated per request, so a server that only
+// answers with the one-shot SPARQL JSON document still serves the
+// mediator, and a client that can only answer whole has each answer read
+// as a one-frame stream. Federated plans are first-class: EXPLAIN shows
+// per-disjunct mediator plans with RemoteScan leaves in join order,
+// annotated with source fan-out, the bind-or-fetch rule of each step and
+// the in-flight window, and EXPLAIN ANALYZE adds the branch each step took (rpsquery
 // -mode federation -explain / -analyze; tune the probe batch with
 // -fed-batch on rpsd and rpsquery, and on rpsbench for its E7/A4 tables).
 //
